@@ -47,6 +47,7 @@ from .transforms import (
 )
 from .extensions import (
     ContractionOp,
+    DefectFrame,
     ExtensionOp,
     FamilyEvaluationError,
     FamilyValidation,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .extensions import (
     ContractionOp,
+    DefectFrame,
     ParameterFamily,
     blaschke_family,
     constant_family,
@@ -33,7 +34,6 @@ from .isometry import (
     PreconditionViolated,
     defect_spaces,
     is_inf_point,
-    reflected_point,
     regular_type,
 )
 from .numerics import DEFAULT_TOL, TolerancePolicy, max_abs
@@ -54,10 +54,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario; ``frame`` holds the defect geometry of
+    (operator, z0) under ``tol`` that every command reuses."""
+
     operator: IsometricOperator
     family: ParameterFamily
     z0: complex
     tol: TolerancePolicy
+    frame: DefectFrame
 
 
 def _complex_from(doc, where: str) -> complex:
@@ -154,17 +158,17 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
     if abs(z0) >= 1.0:
         raise ScenarioError("z0 must lie strictly inside the unit disk")
 
-    family = _parse_family(doc["family"], operator, z0, tol)
+    frame = DefectFrame(operator, z0, tol)
+    family = _parse_family(doc["family"], frame)
 
-    report = validate_family(family, operator, disk_grid(12), tol)
+    report = validate_family(family, operator, disk_grid(12), tol, frame)
     if not report.ok:
         raise ScenarioError("family validation failed: " + "; ".join(report.violations))
-    return Scenario(operator, family, z0, tol)
+    return Scenario(operator, family, z0, tol, frame)
 
 
-def _contraction(operator: IsometricOperator, z0: complex, matrix: np.ndarray, tol: TolerancePolicy) -> ContractionOp:
-    src = defect_spaces(operator, z0, tol).n
-    dst = defect_spaces(operator, reflected_point(z0), tol).n
+def _contraction(frame: DefectFrame, matrix: np.ndarray) -> ContractionOp:
+    src, dst = frame.src, frame.dst
     if matrix.shape != (dst.dim, src.dim):
         raise ScenarioError(
             f"family matrix shape {matrix.shape} does not match defect dimensions "
@@ -176,19 +180,20 @@ def _contraction(operator: IsometricOperator, z0: complex, matrix: np.ndarray, t
         raise ScenarioError(f"family matrix: {exc}") from exc
 
 
-def _parse_family(doc, operator: IsometricOperator, z0: complex, tol: TolerancePolicy) -> ParameterFamily:
+def _parse_family(doc, frame: DefectFrame) -> ParameterFamily:
+    z0, tol = frame.z0, frame.tol
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ScenarioError("family must be an object with a 'kind'")
     kind = doc["kind"]
     if kind == "constant":
         if "matrix" not in doc:
             raise ScenarioError("constant family needs a 'matrix'")
-        c = _contraction(operator, z0, _matrix_from_rows(doc["matrix"], "family.matrix"), tol)
+        c = _contraction(frame, _matrix_from_rows(doc["matrix"], "family.matrix"))
         return constant_family(c, z0)
     if kind == "blaschke":
         if "matrix" not in doc or "a" not in doc:
             raise ScenarioError("blaschke family needs 'matrix' and 'a'")
-        u0 = _contraction(operator, z0, _matrix_from_rows(doc["matrix"], "family.matrix"), tol)
+        u0 = _contraction(frame, _matrix_from_rows(doc["matrix"], "family.matrix"))
         a = _complex_from(doc["a"], "family.a")
         try:
             return blaschke_family(a, u0, z0, tol)
@@ -203,10 +208,8 @@ def _parse_family(doc, operator: IsometricOperator, z0: complex, tol: ToleranceP
             if not isinstance(entry, dict) or "zeta" not in entry or "matrix" not in entry:
                 raise ScenarioError(f"family.points[{i}] must carry 'zeta' and 'matrix'")
             zeta = _complex_from(entry["zeta"], f"family.points[{i}].zeta")
-            c = _contraction(
-                operator, z0, _matrix_from_rows(entry["matrix"], f"family.points[{i}].matrix"), tol
-            )
-            table.append((zeta, c))
+            matrix = _matrix_from_rows(entry["matrix"], f"family.points[{i}].matrix")
+            table.append((zeta, _contraction(frame, matrix)))
         return table_family(table, z0)
     raise ScenarioError(f"unknown family kind {kind!r}")
 
@@ -216,7 +219,8 @@ def _jsonify_complex(z: complex) -> list[float]:
 
 
 def _jsonify_matrix(m: np.ndarray) -> list:
-    return [[_jsonify_complex(complex(m[i, j])) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    rows = zip(m.real.tolist(), m.imag.tolist())
+    return [[[re, im] for re, im in zip(row_re, row_im)] for row_re, row_im in rows]
 
 
 def _parse_point(re: float, im: float):
@@ -253,7 +257,7 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[str] | None]:
-    r = ResolventFn(scenario.operator, scenario.family, scenario.z0)
+    r = ResolventFn(scenario.operator, scenario.family, scenario.z0, scenario.tol, scenario.frame)
     if args.grid is not None:
         points = disk_grid(args.grid)
         points = points + [1.0 / z.conjugate() for z in points if z != 0]
@@ -262,11 +266,11 @@ def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[str] | Non
         for z in points:
             m = r.at(z, scenario.tol)
             values.append({"zeta": _jsonify_complex(z), "matrix": _jsonify_matrix(m)})
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    csv_lines.append(
-                        f"{z.real!r},{z.imag!r},{i},{j},{m[i, j].real!r},{m[i, j].imag!r}"
-                    )
+            # Plain Python floats: numpy 2 scalars repr as np.float64(x).
+            head = f"{z.real!r},{z.imag!r}"
+            for i, (row_re, row_im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
+                for j, (re, im) in enumerate(zip(row_re, row_im)):
+                    csv_lines.append(f"{head},{i},{j},{re!r},{im!r}")
         return {"points": values}, EXIT_OK, csv_lines
     if not args.zeta:
         raise ScenarioError("resolvent needs --zeta or --grid")
@@ -290,6 +294,7 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
             n_samples=args.samples,
             tol=scenario.tol,
             continuity_bound=args.continuity_bound,
+            frame=scenario.frame,
         )
     except PreconditionViolated as exc:
         return {"verdict": "PRECONDITION_VIOLATED", "error": str(exc)}, EXIT_VIOLATION
@@ -321,7 +326,12 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_verify(scenario: Scenario, args) -> tuple[dict, int]:
     results = run_property_suite(
-        scenario.operator, scenario.family, scenario.z0, seed=args.seed, tol=scenario.tol
+        scenario.operator,
+        scenario.family,
+        scenario.z0,
+        seed=args.seed,
+        tol=scenario.tol,
+        frame=scenario.frame,
     )
     doc = {
         "properties": [

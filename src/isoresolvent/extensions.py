@@ -12,15 +12,21 @@ At z0 = 0 the two coincide.  Parameter families come in three kinds that can
 actually be certified numerically: constants, scalar Blaschke factors times
 a fixed unitary, and finite tables (valid only at their own points, never
 interpolated).
+
+Everything in these formulas except the parameter depends on (V, z0) alone.
+A :class:`DefectFrame` holds that geometry and computes each piece at most
+once; every function here takes an optional ``frame`` so that a caller
+working at one (V, z0) pays for the geometry once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .isometry import IsometricOperator, defect_spaces, reflected_point
+from .isometry import DefectPair, IsometricOperator, defect_spaces, reflected_point
 from .numerics import (
     DEFAULT_TOL,
     Subspace,
@@ -32,8 +38,10 @@ from .numerics import (
     operator_norm,
     subspace_gap,
 )
+from .transforms import cayley
 
 __all__ = [
+    "DefectFrame",
     "ReconstructionMismatch",
     "FamilyEvaluationError",
     "ContractionOp",
@@ -199,36 +207,116 @@ class ExtensionOp:
             raise ValueError("extension is not a contraction")
 
 
-def _check_parameter_spaces(
-    v: IsometricOperator, z0: complex, c: ContractionOp, tol: TolerancePolicy
-) -> None:
-    src = defect_spaces(v, z0, tol).n
-    dst = defect_spaces(v, reflected_point(z0), tol).n
-    if c.src.dim != src.dim or subspace_gap(c.src, src) > 1e-6:
-        raise ValueError("parameter source does not match the defect space at z0")
-    if c.dst.dim != dst.dim or subspace_gap(c.dst, dst) > 1e-6:
-        raise ValueError("parameter target does not match the reflected defect space")
+# Largest subspace gap at which a parameter's stored spaces count as the
+# defect spaces of the frame.
+_SPACE_GAP = 1e-6
+
+
+def _space_mismatch(stored: Subspace, expected: Subspace) -> bool:
+    if stored is expected:
+        return False
+    return stored.dim != expected.dim or subspace_gap(stored, expected) > _SPACE_GAP
+
+
+@dataclass(frozen=True, eq=False)
+class DefectFrame:
+    """The geometry of V at a base point z0, each piece computed at most once.
+
+    ``src`` is N_{z0}, ``reflected`` the defect pair at 1/conj(z0) (its
+    ``n`` is ``dst``), ``transform`` the Cayley transform W = V_{z0} and
+    ``transform_matrix`` its ambient partial matrix W P_{D(W)}.  All are
+    computed on first use under the frame's policy and kept on the frame.
+
+    :meth:`extension` keeps the orthogonal extension of the last parameter
+    it assembled, so a constant family is assembled once per frame.  Build
+    one frame per (V, z0, policy) and hand it to every consumer; a consumer
+    given none builds its own.
+    """
+
+    v: IsometricOperator
+    z0: complex = 0j
+    tol: TolerancePolicy = DEFAULT_TOL
+    _last: list = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "z0", complex(self.z0))
+
+    @classmethod
+    def ensure(cls, frame, v: IsometricOperator, z0, tol: TolerancePolicy) -> "DefectFrame":
+        """``frame`` after checking it was built for (v, z0, tol), or a new frame."""
+        if frame is None:
+            return cls(v, z0, tol)
+        if frame.v is not v or frame.z0 != complex(z0) or frame.tol != tol:
+            raise ValueError("defect frame was built for another operator, base point or policy")
+        return frame
+
+    @cached_property
+    def src(self) -> Subspace:
+        return defect_spaces(self.v, self.z0, self.tol).n
+
+    @cached_property
+    def reflected(self) -> DefectPair:
+        return defect_spaces(self.v, reflected_point(self.z0), self.tol)
+
+    @property
+    def dst(self) -> Subspace:
+        return self.reflected.n
+
+    @cached_property
+    def transform(self) -> IsometricOperator:
+        return cayley(self.v, self.z0, self.tol)
+
+    @cached_property
+    def transform_matrix(self) -> np.ndarray:
+        w = self.transform
+        return w.image_basis @ w.domain_basis.conj().T
+
+    def space_violations(self, op, what: str = "parameter") -> list[str]:
+        """Why ``op`` (a ContractionOp or ParameterFamily) does not act from
+        N_{z0} into N_{1/conj(z0)}; empty when it does."""
+        violations = []
+        if _space_mismatch(op.src, self.src):
+            violations.append(f"{what} source does not match the defect space at z0")
+        if _space_mismatch(op.dst, self.dst):
+            violations.append(f"{what} target does not match the reflected defect space")
+        return violations
+
+    def extension(self, c: ContractionOp) -> "ExtensionOp":
+        """:func:`orthogonal_extension` of c, reused while c is the last parameter seen."""
+        if self._last and self._last[0] is c:
+            return self._last[1]
+        ext = orthogonal_extension(self.v, self.z0, c, self.tol, frame=self)
+        self._last[:] = (c, ext)
+        return ext
 
 
 def extend_full(
-    v: IsometricOperator, z0, c: ContractionOp, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    z0,
+    c: ContractionOp,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> ExtensionOp:
     """The plus extension: Cayley transform of V at z0, extended by C to all of H."""
-    from .transforms import cayley
-
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("base point must lie inside the unit disk")
-    _check_parameter_spaces(v, z0, c, tol)
-    w = cayley(v, z0, tol)
-    matrix = w.image_basis @ w.domain_basis.conj().T + c.ambient()
+    frame = DefectFrame.ensure(frame, v, z0, tol)
+    violations = frame.space_violations(c)
+    if violations:
+        raise ValueError(violations[0])
+    matrix = frame.transform_matrix + c.ambient()
     if operator_norm(matrix) > 1.0 + tol.eps_unit:
         raise ValueError("assembled plus extension exceeds the contraction bound")
     return ExtensionOp(matrix, z0, c, "plus")
 
 
 def orthogonal_extension(
-    v: IsometricOperator, z0, c: ContractionOp, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    z0,
+    c: ContractionOp,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> ExtensionOp:
     """The orthogonal extension of V defined by the parameter C at z0.
 
@@ -238,7 +326,7 @@ def orthogonal_extension(
     most 1/(1 - |z0|), which is asserted.
     """
     z0 = complex(z0)
-    plus = extend_full(v, z0, c, tol)
+    plus = extend_full(v, z0, c, tol, frame)
     if z0 == 0:
         matrix = plus.matrix
     else:
@@ -259,7 +347,11 @@ def orthogonal_extension(
 
 
 def recover_parameter(
-    t: ExtensionOp, v: IsometricOperator, z0, tol: TolerancePolicy = DEFAULT_TOL
+    t: ExtensionOp,
+    v: IsometricOperator,
+    z0,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> ContractionOp:
     """Decode the contraction parameter of an orthogonal extension at z0.
 
@@ -269,8 +361,6 @@ def recover_parameter(
     the isometric part of the rebuilt operator does not agree with the Cayley
     transform of V at z0, i.e. t is not an orthogonal extension of v there.
     """
-    from .transforms import cayley
-
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("base point must lie inside the unit disk")
@@ -280,12 +370,11 @@ def recover_parameter(
     else:
         inv = guarded_inverse(identity(n) - z0 * t.matrix, tol, "parameter recovery")
         plus_matrix = -identity(n) / z0 + ((1.0 - abs(z0) ** 2) / z0) * inv
-    w = cayley(v, z0, tol)
+    frame = DefectFrame.ensure(frame, v, z0, tol)
+    w = frame.transform
     iso_residual = max_abs(plus_matrix @ w.domain_basis - w.image_basis)
-    src = defect_spaces(v, z0, tol).n
-    dst = defect_spaces(v, reflected_point(z0), tol).n
-    m_dst = defect_spaces(v, reflected_point(z0), tol).m
-    leak = operator_norm(m_dst.basis.conj().T @ plus_matrix @ src.basis)
+    src, dst = frame.src, frame.dst
+    leak = operator_norm(frame.reflected.m.basis.conj().T @ plus_matrix @ src.basis)
     if iso_residual > 10 * tol.eps_eq or leak > 10 * tol.eps_eq:
         raise ReconstructionMismatch(
             f"not an orthogonal extension of V at z0 (isometric part residual "
@@ -306,6 +395,7 @@ def validate_family(
     v: IsometricOperator,
     grid,
     tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> FamilyValidation:
     """Check a parameter family against an operator over a sample grid.
 
@@ -315,13 +405,7 @@ def validate_family(
     which the boundary isometry condition of the gap criteria relies on.
     Violations are reported, never raised.
     """
-    violations: list[str] = []
-    src = defect_spaces(v, fam.z0, tol).n
-    dst = defect_spaces(v, reflected_point(fam.z0), tol).n
-    if fam.src.dim != src.dim or subspace_gap(fam.src, src) > 1e-6:
-        violations.append("family source does not match the defect space at z0")
-    if fam.dst.dim != dst.dim or subspace_gap(fam.dst, dst) > 1e-6:
-        violations.append("family target does not match the reflected defect space")
+    violations = DefectFrame.ensure(frame, v, fam.z0, tol).space_violations(fam, "family")
     for zeta in grid:
         try:
             value = fam.value_at(zeta, tol)

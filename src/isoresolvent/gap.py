@@ -27,16 +27,15 @@ import numpy as np
 
 from .extensions import (
     ContractionOp,
+    DefectFrame,
     FamilyEvaluationError,
     ParameterFamily,
     extend_full,
-    orthogonal_extension,
 )
 from .isometry import (
     IsometricOperator,
     PreconditionViolated,
     defect_spaces,
-    reflected_point,
     regular_type,
 )
 from .numerics import (
@@ -77,7 +76,8 @@ class GapOperators:
     P_{N_{z0}}|_{N_lambda} and P_{N_{1/conj(z0)}}|_{N_lambda} in the fixed
     canonical bases; both are invertible under the regular-type hypothesis.
     ``link`` is the resulting isometry of N_{z0} onto N_{1/conj(z0)};
-    ``boundary_defect`` is N_lambda itself.
+    ``boundary_defect`` is N_lambda itself and ``boundary_m`` its partner
+    M_lambda, which the M-space projection condition reads.
     """
 
     src_projection: np.ndarray
@@ -85,10 +85,15 @@ class GapOperators:
     link: ContractionOp
     boundary_defect: Subspace
     scalar: complex
+    boundary_m: Subspace
 
 
 def build_gap_operators(
-    v: IsometricOperator, lam, z0=0j, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    lam,
+    z0=0j,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> GapOperators:
     """Construct the boundary link operator at |lam| = 1 for base point z0.
 
@@ -97,27 +102,31 @@ def build_gap_operators(
     (1 - conj(z0) lam)/(lam - z0) is of regular type for the Cayley transform
     of V at z0 (the two are equivalent).  Raises PreconditionViolated when it
     fails, or when either restricted projection degenerates.
-    """
-    from .transforms import cayley
 
+    Per frame (computed once for all boundary points): N_{z0},
+    N_{1/conj(z0)} and the Cayley transform.  Per point: the regular-type
+    test, the boundary pair N_lambda / M_lambda, the two restricted
+    projections with their SVDs, and the link with its isometry check.
+    """
     lam, z0 = complex(lam), complex(z0)
     if abs(abs(lam) - 1.0) > tol.eps_unit:
         raise ValueError("boundary point must lie on the unit circle")
     if abs(z0) >= 1.0:
         raise ValueError("base point must lie inside the unit disk")
+    frame = DefectFrame.ensure(frame, v, z0, tol)
     if z0 == 0:
         scalar = lam.conjugate()
         rt = regular_type(v, lam.conjugate(), tol)
     else:
         scalar = (1.0 - z0.conjugate() * lam) / (lam - z0)
-        rt = regular_type(cayley(v, z0, tol), scalar, tol)
+        rt = regular_type(frame.transform, scalar, tol)
     if not rt.is_regular:
         raise PreconditionViolated(
             f"regular-type hypothesis fails at lam={lam!r} (sigma_min={rt.sigma_min:.3e})"
         )
-    n_lam = defect_spaces(v, lam, tol).n
-    n_src = defect_spaces(v, z0, tol).n
-    n_dst = defect_spaces(v, reflected_point(z0), tol).n
+    boundary = defect_spaces(v, lam, tol)
+    n_lam = boundary.n
+    n_src, n_dst = frame.src, frame.dst
     s_mat = n_src.basis.conj().T @ n_lam.basis
     q_mat = n_dst.basis.conj().T @ n_lam.basis
     if s_mat.shape[0] != s_mat.shape[1] or q_mat.shape[0] != q_mat.shape[1]:
@@ -136,7 +145,7 @@ def build_gap_operators(
     link = ContractionOp(n_src, n_dst, link_matrix)
     if n_lam.dim and max_abs(link_matrix.conj().T @ link_matrix - np.eye(n_src.dim)) > tol.eps_unit:
         raise PreconditionViolated("link operator failed the isometry check")
-    return GapOperators(s_mat, q_mat, link, n_lam, scalar)
+    return GapOperators(s_mat, q_mat, link, n_lam, scalar, boundary.m)
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,11 @@ class EigenResult:
 
 
 def eigen_criterion(
-    v: IsometricOperator, c: ContractionOp, lam, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    c: ContractionOp,
+    lam,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> EigenResult:
     """Whether 1/lam is an eigenvalue of the extension V + C (base point 0).
 
@@ -156,7 +169,7 @@ def eigen_criterion(
     N_lambda and satisfies (V + C) f = conj(lam) f, which the test suite
     asserts at 10 * eps_eq.
     """
-    ops = build_gap_operators(v, lam, 0j, tol)
+    ops = build_gap_operators(v, lam, 0j, tol, frame)
     diff = c.matrix - ops.link.matrix
     if diff.size == 0:
         return EigenResult(False, None, math.inf)
@@ -192,13 +205,10 @@ class CriteriaReport:
     sigma_direct: float = math.inf
 
 
-def _pm_condition(
-    v: IsometricOperator, lam: complex, z0: complex, tol: TolerancePolicy
-) -> tuple[bool, float]:
+def _pm_condition(frame: DefectFrame, m_lam: Subspace) -> tuple[bool, float]:
     """Projection condition between the M spaces: P onto M at the reflected
     base point maps M_lambda onto the whole of it."""
-    m_lam = defect_spaces(v, lam, tol).m
-    m_dst = defect_spaces(v, reflected_point(z0), tol).m
+    m_dst = frame.reflected.m
     if m_dst.dim == 0:
         return True, math.inf
     mat = m_dst.basis.conj().T @ m_lam.basis
@@ -206,11 +216,15 @@ def _pm_condition(
     if s.size < m_dst.dim:
         return False, 0.0
     smin = float(s[m_dst.dim - 1])
-    return smin > tol.eps_rank, smin
+    return smin > frame.tol.eps_rank, smin
 
 
 def surjectivity_criterion(
-    v: IsometricOperator, c: ContractionOp, lam, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    c: ContractionOp,
+    lam,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> CriteriaReport:
     """Surjectivity of (V + C) - (1/lam) E, decided two independent ways.
 
@@ -219,7 +233,8 @@ def surjectivity_criterion(
     route: full rank of the extension matrix minus conj(lam) (square, so
     range = H exactly when the rank is full).  Both are reported.
     """
-    ops = build_gap_operators(v, lam, 0j, tol)
+    frame = DefectFrame.ensure(frame, v, 0j, tol)
+    ops = build_gap_operators(v, lam, 0j, tol, frame)
     lam = complex(lam)
     diff = c.matrix - ops.link.matrix
     p, q = diff.shape
@@ -234,9 +249,9 @@ def surjectivity_criterion(
     eigen = bool(p == q and p > 0 and s.size and float(s[-1]) <= tol.eps_rank)
     witness = None
     if eigen:
-        witness = eigen_criterion(v, c, lam, tol).witness
-    cond_pm, sigma_pm = _pm_condition(v, lam, 0j, tol)
-    plus = extend_full(v, 0.0, c, tol)
+        witness = eigen_criterion(v, c, lam, tol, frame).witness
+    cond_pm, sigma_pm = _pm_condition(frame, ops.boundary_m)
+    plus = extend_full(v, 0.0, c, tol, frame)
     sigma_direct = sigma_min(plus.matrix - lam.conjugate() * identity(v.ambient_dim))
     crosscheck = sigma_direct > tol.eps_rank
     return CriteriaReport(
@@ -324,6 +339,7 @@ def arc_scan(
     n_samples: int = 9,
     tol: TolerancePolicy = DEFAULT_TOL,
     continuity_bound: float | None = None,
+    frame: DefectFrame | None = None,
 ) -> GapReport:
     """Certify a spectral gap across an open arc by sampling its conditions.
 
@@ -342,6 +358,14 @@ def arc_scan(
 
     Raises PreconditionViolated (tagged with the sample index) when the
     regular-type hypothesis breaks at a sample.
+
+    Per frame, shared by all samples: N_{z0}, the reflected pair, the Cayley
+    transform and, for a constant family, the orthogonal extension T with
+    all of its checks.  Per sample: the family value, the operators of
+    :func:`build_gap_operators` (regular type, N_lambda / M_lambda, link),
+    the SVDs of C - link and of the M-space projection, and sigma_min of
+    E - lam T; Blaschke and tabulated values get T assembled per sample from
+    the frame's cached parts.
     """
     t1, t2 = float(arc[0]), float(arc[1])
     if not (0.0 <= t1 < t2 <= TWO_PI):
@@ -354,6 +378,7 @@ def arc_scan(
     if fam.kind == "table" and continuity_bound is None:
         raise ValueError("tabulated families need an explicit continuity bound")
     cont_label = "structural" if fam.kind in ("constant", "blaschke") else "sampled-modulus"
+    frame = DefectFrame.ensure(frame, v, z0, tol)
 
     step = (t2 - t1) / (n_samples + 1)
     samples: list[ArcSample] = []
@@ -377,7 +402,7 @@ def arc_scan(
         cond2 = _boundary_isometry_onto(value, tol)
 
         try:
-            ops = build_gap_operators(v, lam, z0, tol)
+            ops = build_gap_operators(v, lam, z0, tol, frame)
         except PreconditionViolated as exc:
             raise PreconditionViolated(f"sample {j} at angle {angle:.6f}: {exc}") from exc
         diff = value.matrix - ops.link.matrix
@@ -390,10 +415,10 @@ def arc_scan(
             invertible = p == q and smin > tol.eps_rank
             onto = p <= q and s.size >= p and float(s[p - 1]) > tol.eps_rank
             sigma_cw = smin
-        cond_pm, _ = _pm_condition(v, lam, z0, tol)
+        cond_pm, _ = _pm_condition(frame, ops.boundary_m)
         cond3_link = invertible and onto and cond_pm
 
-        ext = orthogonal_extension(v, z0, value, tol)
+        ext = frame.extension(value)
         sigma_direct = sigma_min(identity(v.ambient_dim) - lam * ext.matrix)
         cond3_direct = sigma_direct > tol.eps_rank
 

@@ -15,12 +15,12 @@ finite lists of unimodular atoms with orthogonal projector weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extensions import ParameterFamily, extend_full, orthogonal_extension
-from .isometry import IsometricOperator, defect_spaces, reflected_point
+from .extensions import DefectFrame, ParameterFamily
+from .isometry import IsometricOperator
 from .numerics import (
     DEFAULT_TOL,
     Subspace,
@@ -31,7 +31,6 @@ from .numerics import (
     identity,
     max_abs,
     operator_norm,
-    subspace_gap,
     unitary_eig,
 )
 
@@ -53,7 +52,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def chumakin(
-    v: IsometricOperator, fam: ParameterFamily, zeta, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    fam: ParameterFamily,
+    zeta,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> np.ndarray:
     """Resolvent by the base-point-0 formula: [E - zeta (V + F(zeta))]^{-1}.
 
@@ -65,14 +68,18 @@ def chumakin(
         raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != 0:
         raise ValueError("family must be based at 0")
-    value = fam.value_at(zeta, tol)
-    plus = extend_full(v, 0.0, value, tol)
+    ext = DefectFrame.ensure(frame, v, 0j, tol).extension(fam.value_at(zeta, tol))
     n = v.ambient_dim
-    return guarded_inverse(identity(n) - zeta * plus.matrix, tol, "interior resolvent")
+    return guarded_inverse(identity(n) - zeta * ext.matrix, tol, "interior resolvent")
 
 
 def inin(
-    v: IsometricOperator, z0, fam: ParameterFamily, zeta, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator,
+    z0,
+    fam: ParameterFamily,
+    zeta,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> np.ndarray:
     """Resolvent by the general-base-point formula through the orthogonal extension.
 
@@ -84,37 +91,49 @@ def inin(
         raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != z0:
         raise ValueError("family base point does not match z0")
-    value = fam.value_at(zeta, tol)
-    ext = orthogonal_extension(v, z0, value, tol)
+    ext = DefectFrame.ensure(frame, v, z0, tol).extension(fam.value_at(zeta, tol))
     n = v.ambient_dim
     return guarded_inverse(identity(n) - zeta * ext.matrix, tol, "interior resolvent")
 
 
 @dataclass(frozen=True)
 class ResolventFn:
-    """A generalized resolvent: operator, parameter family, and base point."""
+    """A generalized resolvent: operator, parameter family, and base point.
+
+    Its defect frame is built under ``tol`` (or passed in as ``frame``) and
+    serves every evaluation under that policy, so a constant family's
+    extension is assembled once and each value costs one inversion.  An
+    evaluation under another policy builds a frame of its own.
+    """
 
     v: IsometricOperator
     fam: ParameterFamily
     z0: complex = 0j
+    tol: TolerancePolicy = DEFAULT_TOL
+    frame: DefectFrame | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z0", complex(self.z0))
         if self.fam.z0 != self.z0:
             raise ValueError("family base point does not match the resolvent base point")
-        src = defect_spaces(self.v, self.z0).n
-        dst = defect_spaces(self.v, reflected_point(self.z0)).n
-        if self.fam.src.dim != src.dim or subspace_gap(self.fam.src, src) > 1e-6:
-            raise ValueError("family source does not match the defect space at z0")
-        if self.fam.dst.dim != dst.dim or subspace_gap(self.fam.dst, dst) > 1e-6:
-            raise ValueError("family target does not match the reflected defect space")
+        frame = DefectFrame.ensure(self.frame, self.v, self.z0, self.tol)
+        object.__setattr__(self, "frame", frame)
+        violations = frame.space_violations(self.fam, "family")
+        if violations:
+            raise ValueError(violations[0])
 
-    def interior(self, zeta, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    def frame_for(self, tol: TolerancePolicy) -> DefectFrame:
+        """The resolvent's own frame when ``tol`` is its policy, else a new one."""
+        return self.frame if tol == self.tol else DefectFrame(self.v, self.z0, tol)
+
+    def interior(self, zeta, tol: TolerancePolicy | None = None) -> np.ndarray:
+        tol = self.tol if tol is None else tol
+        frame = self.frame_for(tol)
         if self.z0 == 0:
-            return chumakin(self.v, self.fam, zeta, tol)
-        return inin(self.v, self.z0, self.fam, zeta, tol)
+            return chumakin(self.v, self.fam, zeta, tol, frame)
+        return inin(self.v, self.z0, self.fam, zeta, tol, frame)
 
-    def at(self, z, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    def at(self, z, tol: TolerancePolicy | None = None) -> np.ndarray:
         """Value on either branch; points of the unit circle are rejected."""
         z = complex(z)
         if abs(z) < 1.0:
@@ -124,7 +143,7 @@ class ResolventFn:
         raise ValueError("the two branches meet the circle only through the gap criteria")
 
 
-def exterior_value(r: ResolventFn, z, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def exterior_value(r: ResolventFn, z, tol: TolerancePolicy | None = None) -> np.ndarray:
     """Exterior branch via the reflection identity: E - (interior at 1/conj(z))^H."""
     z = complex(z)
     if abs(z) <= 1.0:
@@ -238,8 +257,7 @@ def continuation_consistency(r: ResolventFn, lam, tol: TolerancePolicy = DEFAULT
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > tol.eps_unit:
         raise ValueError("gluing point must lie on the unit circle")
-    value = r.fam.value_at(lam, tol)
-    ext = orthogonal_extension(r.v, r.z0, value, tol)
+    ext = r.frame_for(tol).extension(r.fam.value_at(lam, tol))
     n = r.v.ambient_dim
     forward = guarded_inverse(identity(n) - lam * ext.matrix, tol, "boundary continuation")
     backward = guarded_inverse(

@@ -15,8 +15,10 @@ import numpy as np
 
 from . import sampling
 from .extensions import (
+    DefectFrame,
     ParameterFamily,
     constant_family,
+    extend_full,
     orthogonal_extension,
     recover_parameter,
     validate_family,
@@ -61,14 +63,16 @@ def run_property_suite(
     z0: complex,
     seed: int = 0,
     tol: TolerancePolicy = DEFAULT_TOL,
+    frame: DefectFrame | None = None,
 ) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     results: list[PropertyResult] = []
     n = v.ambient_dim
+    frame = DefectFrame.ensure(frame, v, z0, tol)
 
     # Scenario family sanity.
     grid = sampling.disk_grid(12)
-    report = validate_family(fam, v, grid, tol)
+    report = validate_family(fam, v, grid, tol, frame)
     results.append(
         _result(
             "scenario_family_contractive",
@@ -79,7 +83,7 @@ def run_property_suite(
 
     # Resolvent at the origin is the identity.
     try:
-        r0 = inin(v, z0, fam, 0.0, tol)
+        r0 = inin(v, z0, fam, 0.0, tol, frame)
         dev = max_abs(r0 - identity(n))
         results.append(_result("resolvent_at_origin_is_identity", dev <= tol.eps_eq, f"max deviation {dev:.2e}"))
     except Exception as exc:
@@ -93,13 +97,14 @@ def run_property_suite(
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
-        ext = orthogonal_extension(vv, zz, c, tol)
-        f0 = recover_parameter(ext, vv, 0.0, tol)
+        frame_z, frame_0 = DefectFrame(vv, zz, tol), DefectFrame(vv, 0j, tol)
+        ext = frame_z.extension(c)
+        f0 = recover_parameter(ext, vv, 0.0, tol, frame_0)
         fam0 = constant_family(f0, 0.0)
         famz = constant_family(c, zz)
         for zeta in sampling.disk_grid(6):
-            a = inin(vv, zz, famz, zeta, tol)
-            b = chumakin(vv, fam0, zeta, tol)
+            a = inin(vv, zz, famz, zeta, tol, frame_z)
+            b = chumakin(vv, fam0, zeta, tol, frame_0)
             worst = max(worst, max_abs(a - b))
             count += 1
     results.append(
@@ -115,8 +120,8 @@ def run_property_suite(
         famz = constant_family(c, zz)
         w = cayley(vv, zz, tol)
         fam_inner = constant_family(c, 0.0)
-        r_outer = ResolventFn(vv, famz, zz)
-        r_inner = ResolventFn(w, fam_inner, 0.0)
+        r_outer = ResolventFn(vv, famz, zz, tol)
+        r_inner = ResolventFn(w, fam_inner, 0.0, tol)
         for _ in range(4):
             u = sampling.random_disk_point(rng, 0.0, 0.85)
             if min(abs(u), abs(u - zz)) < 0.05:
@@ -162,19 +167,17 @@ def run_property_suite(
     disagreements = 0
     for _ in range(25):
         vv = sampling.random_isometry(rng, n_max=6)
-        pair0 = defect_spaces(vv, 0.0, tol)
-        if pair0.n.dim == 0:
+        frame0 = DefectFrame(vv, 0j, tol)
+        if frame0.src.dim == 0:
             continue
         c = sampling.random_unitary_parameter(rng, vv)
-        from .extensions import extend_full
-
-        t = extend_full(vv, 0.0, c, tol)
+        t = extend_full(vv, 0.0, c, tol, frame0)
         eigs = np.linalg.eigvals(t.matrix)
         for mu in eigs:
             lam = complex(mu).conjugate()
             if regular_type(vv, complex(mu), tol).sigma_min <= 1e-3:
                 continue
-            if not eigen_criterion(vv, c, lam, tol).is_eigenvalue:
+            if not eigen_criterion(vv, c, lam, tol, frame0).is_eigenvalue:
                 disagreements += 1
         for _ in range(5):
             lam = sampling.random_boundary_point(rng)
@@ -183,7 +186,7 @@ def run_property_suite(
                 continue
             if min(abs(np.angle(np.asarray(eigs) / mu))) < 1e-3:
                 continue
-            if eigen_criterion(vv, c, lam, tol).is_eigenvalue:
+            if eigen_criterion(vv, c, lam, tol, frame0).is_eigenvalue:
                 disagreements += 1
     results.append(_result("eigenvalue_criterion_agreement", disagreements == 0, f"{disagreements} disagreements"))
 
@@ -220,10 +223,8 @@ def run_property_suite(
             continue
         c = sampling.random_unitary_parameter(rng, vv)
         famu = constant_family(c, 0.0)
-        r = ResolventFn(vv, famu, 0.0)
-        from .extensions import extend_full
-
-        u = extend_full(vv, 0.0, c, tol).matrix
+        r = ResolventFn(vv, famu, 0.0, tol)
+        u = r.frame.extension(c).matrix
         for _ in range(3):
             z = (1.2 + rng.uniform(0.0, 1.5)) * sampling.random_boundary_point(rng)
             direct = np.linalg.solve(identity(vv.ambient_dim) - z * u, identity(vv.ambient_dim))
@@ -235,7 +236,7 @@ def run_property_suite(
     for _ in range(40):
         vv = sampling.random_isometry(rng, n_max=6)
         c = sampling.random_parameter(rng, vv)
-        r = ResolventFn(vv, constant_family(c, 0.0), 0.0)
+        r = ResolventFn(vv, constant_family(c, 0.0), 0.0, tol)
         zs = [sampling.random_disk_point(rng, 0.0, 0.9) for _ in range(3)]
         hs = [rng.standard_normal(vv.ambient_dim) + 1j * rng.standard_normal(vv.ambient_dim)]
         minimum = min(minimum, herglotz_check(r, zs, hs, tol))
@@ -249,8 +250,9 @@ def run_property_suite(
         c = sampling.random_parameter(rng, vv, za)
         ext_a = orthogonal_extension(vv, za, c, tol)
         for zb in (0.3 + 0j, -0.2 + 0.4j, 0.5j):
-            cb = recover_parameter(ext_a, vv, zb, tol)
-            ext_b = orthogonal_extension(vv, zb, cb, tol)
+            frame_b = DefectFrame(vv, zb, tol)
+            cb = recover_parameter(ext_a, vv, zb, tol, frame_b)
+            ext_b = orthogonal_extension(vv, zb, cb, tol, frame_b)
             worst = max(worst, max_abs(ext_b.matrix - ext_a.matrix))
     results.append(_result("base_point_independence", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))
 
@@ -260,7 +262,9 @@ def run_property_suite(
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
-        back = recover_parameter(orthogonal_extension(vv, zz, c, tol), vv, zz, tol)
+        frame_z = DefectFrame(vv, zz, tol)
+        ext = orthogonal_extension(vv, zz, c, tol, frame_z)
+        back = recover_parameter(ext, vv, zz, tol, frame_z)
         worst = max(worst, max_abs(back.matrix - c.matrix))
     results.append(_result("parameter_roundtrip", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))
 

@@ -107,6 +107,12 @@ class TestCommands:
         csv_text = (tmp_path / "report.json.csv").read_text().splitlines()
         assert csv_text[0] == "zeta_re,zeta_im,entry_row,entry_col,value_re,value_im"
         assert len(csv_text) == 1 + 8 * 4
+        rows = [line.split(",") for line in csv_text[1:]]
+        for k, row in enumerate(rows):
+            point = report["points"][k // 4]
+            zeta_re, zeta_im, i, j, value_re, value_im = row
+            assert [float(zeta_re), float(zeta_im)] == point["zeta"]
+            assert [float(value_re), float(value_im)] == point["matrix"][int(i)][int(j)]
 
     def test_gap_scan_certified(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario())
