@@ -264,7 +264,7 @@ def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[str] | Non
         values = []
         csv_lines = ["zeta_re,zeta_im,entry_row,entry_col,value_re,value_im"]
         for z in points:
-            m = r.at(z, scenario.tol)
+            m = r.at(z)
             values.append({"zeta": _jsonify_complex(z), "matrix": _jsonify_matrix(m)})
             # Plain Python floats: numpy 2 scalars repr as np.float64(x).
             head = f"{z.real!r},{z.imag!r}"
@@ -277,7 +277,7 @@ def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[str] | Non
     z = complex(args.zeta[0], args.zeta[1])
     if abs(abs(z) - 1.0) <= scenario.tol.eps_unit:
         raise ScenarioError("resolvent is evaluated off the unit circle only")
-    m = r.at(z, scenario.tol)
+    m = r.at(z)
     branch = "interior" if abs(z) < 1 else "exterior"
     return {"zeta": _jsonify_complex(z), "branch": branch, "matrix": _jsonify_matrix(m)}, EXIT_OK, None
 
@@ -326,12 +326,7 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_verify(scenario: Scenario, args) -> tuple[dict, int]:
     results = run_property_suite(
-        scenario.operator,
-        scenario.family,
-        scenario.z0,
-        seed=args.seed,
-        tol=scenario.tol,
-        frame=scenario.frame,
+        scenario.operator, scenario.family, scenario.z0, seed=args.seed, tol=scenario.tol
     )
     doc = {
         "properties": [

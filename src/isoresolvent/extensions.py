@@ -15,8 +15,8 @@ interpolated).
 
 Everything in these formulas except the parameter depends on (V, z0) alone.
 A :class:`DefectFrame` holds that geometry and computes each piece at most
-once; every function here takes an optional ``frame`` so that a caller
-working at one (V, z0) pays for the geometry once.
+once; a caller working at one (V, z0) uses the frame's methods and pays for
+the geometry once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .isometry import DefectPair, IsometricOperator, defect_spaces, reflected_point
 from .numerics import (
     DEFAULT_TOL,
+    SingularOperator,
     Subspace,
     TolerancePolicy,
     as_matrix,
@@ -227,10 +228,11 @@ class DefectFrame:
     ``transform_matrix`` its ambient partial matrix W P_{D(W)}.  All are
     computed on first use under the frame's policy and kept on the frame.
 
+    The methods do the work of :func:`extend_full`,
+    :func:`orthogonal_extension` and :func:`recover_parameter` on the
+    frame's geometry; those functions build a frame per call.
     :meth:`extension` keeps the orthogonal extension of the last parameter
-    it assembled, so a constant family is assembled once per frame.  Build
-    one frame per (V, z0, policy) and hand it to every consumer; a consumer
-    given none builds its own.
+    it assembled, so a constant family is assembled once per frame.
     """
 
     v: IsometricOperator
@@ -240,6 +242,8 @@ class DefectFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "z0", complex(self.z0))
+        if abs(self.z0) >= 1.0:
+            raise ValueError("base point must lie inside the unit disk")
 
     @classmethod
     def ensure(cls, frame, v: IsometricOperator, z0, tol: TolerancePolicy) -> "DefectFrame":
@@ -281,77 +285,88 @@ class DefectFrame:
             violations.append(f"{what} target does not match the reflected defect space")
         return violations
 
-    def extension(self, c: ContractionOp) -> "ExtensionOp":
+    def plus_extension(self, c: ContractionOp) -> ExtensionOp:
+        """:func:`extend_full` of c."""
+        violations = self.space_violations(c)
+        if violations:
+            raise ValueError(violations[0])
+        matrix = self.transform_matrix + c.ambient()
+        if operator_norm(matrix) > 1.0 + self.tol.eps_unit:
+            raise ValueError("assembled plus extension exceeds the contraction bound")
+        return ExtensionOp(matrix, self.z0, c, "plus")
+
+    def extension(self, c: ContractionOp) -> ExtensionOp:
         """:func:`orthogonal_extension` of c, reused while c is the last parameter seen."""
         if self._last and self._last[0] is c:
             return self._last[1]
-        ext = orthogonal_extension(self.v, self.z0, c, self.tol, frame=self)
+        z0, tol, n = self.z0, self.tol, self.v.ambient_dim
+        plus = self.plus_extension(c)
+        if z0 == 0:
+            matrix = plus.matrix
+        else:
+            # ||T|| <= 1 and |z0| < 1 make E + z0 T invertible with norm of
+            # the inverse at most 1/(1 - |z0|).  T is a contraction only
+            # within eps_unit and the arithmetic is exact only to roundoff, so
+            # these checks and the residual below fail only under a policy
+            # whose eps_eq lies below those: an input error (ValueError).
+            try:
+                inv = guarded_inverse(identity(n) + z0 * plus.matrix, tol, "orthogonal extension")
+            except SingularOperator as exc:
+                raise ValueError(str(exc)) from exc
+            if operator_norm(inv) > 1.0 / (1.0 - abs(z0)) + tol.eps_eq:
+                raise ValueError("resolvent bound of the plus extension violated")
+            matrix = identity(n) / z0 + ((abs(z0) ** 2 - 1.0) / z0) * inv
+        ext = ExtensionOp(matrix, z0, c, "orthogonal")
+        residual = max_abs(matrix @ self.v.domain_basis - self.v.image_basis)
+        if residual > 10 * tol.eps_eq:
+            raise ValueError(f"extension does not extend V within 10 * eps_eq (residual {residual:.3e})")
         self._last[:] = (c, ext)
         return ext
 
+    def recover_parameter(self, t: ExtensionOp) -> ContractionOp:
+        """:func:`recover_parameter` of t."""
+        z0, tol, n = self.z0, self.tol, self.v.ambient_dim
+        if z0 == 0:
+            plus_matrix = t.matrix
+        else:
+            inv = guarded_inverse(identity(n) - z0 * t.matrix, tol, "parameter recovery")
+            plus_matrix = -identity(n) / z0 + ((1.0 - abs(z0) ** 2) / z0) * inv
+        w = self.transform
+        iso_residual = max_abs(plus_matrix @ w.domain_basis - w.image_basis)
+        src, dst = self.src, self.dst
+        leak = operator_norm(self.reflected.m.basis.conj().T @ plus_matrix @ src.basis)
+        if iso_residual > 10 * tol.eps_eq or leak > 10 * tol.eps_eq:
+            raise ReconstructionMismatch(
+                f"not an orthogonal extension of V at z0 (isometric part residual "
+                f"{iso_residual:.3e}, defect leak {leak:.3e})"
+            )
+        matrix = dst.basis.conj().T @ plus_matrix @ src.basis
+        return ContractionOp(src, dst, matrix)
+
 
 def extend_full(
-    v: IsometricOperator,
-    z0,
-    c: ContractionOp,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, z0, c: ContractionOp, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExtensionOp:
     """The plus extension: Cayley transform of V at z0, extended by C to all of H."""
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise ValueError("base point must lie inside the unit disk")
-    frame = DefectFrame.ensure(frame, v, z0, tol)
-    violations = frame.space_violations(c)
-    if violations:
-        raise ValueError(violations[0])
-    matrix = frame.transform_matrix + c.ambient()
-    if operator_norm(matrix) > 1.0 + tol.eps_unit:
-        raise ValueError("assembled plus extension exceeds the contraction bound")
-    return ExtensionOp(matrix, z0, c, "plus")
+    return DefectFrame(v, z0, tol).plus_extension(c)
 
 
 def orthogonal_extension(
-    v: IsometricOperator,
-    z0,
-    c: ContractionOp,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, z0, c: ContractionOp, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExtensionOp:
     """The orthogonal extension of V defined by the parameter C at z0.
 
     For z0 = 0 it coincides with the plus extension.  Otherwise it is
     (1/z0) E + (|z0|^2 - 1)/z0 * (E + z0 T)^{-1} for the plus extension T;
     the inverse always exists since ||T|| <= 1 and |z0| < 1, with norm at
-    most 1/(1 - |z0|), which is asserted.
+    most 1/(1 - |z0|).  Both that and that the result extends V within
+    10 * eps_eq are checked; a policy too tight for them raises ValueError.
     """
-    z0 = complex(z0)
-    plus = extend_full(v, z0, c, tol, frame)
-    if z0 == 0:
-        matrix = plus.matrix
-    else:
-        n = v.ambient_dim
-        try:
-            inv = guarded_inverse(identity(n) + z0 * plus.matrix, tol, "orthogonal extension")
-        except Exception as exc:  # contraction + |z0| < 1 make this impossible
-            raise RuntimeError(f"internal error: {exc}") from exc
-        bound = 1.0 / (1.0 - abs(z0))
-        if operator_norm(inv) > bound + tol.eps_eq:
-            raise RuntimeError("internal error: resolvent bound of the plus extension violated")
-        matrix = identity(n) / z0 + ((abs(z0) ** 2 - 1.0) / z0) * inv
-    ext = ExtensionOp(matrix, z0, c, "orthogonal")
-    residual = max_abs(matrix @ v.domain_basis - v.image_basis)
-    if residual > 10 * tol.eps_eq:
-        raise RuntimeError(f"internal error: extension does not extend V (residual {residual:.3e})")
-    return ext
+    return DefectFrame(v, z0, tol).extension(c)
 
 
 def recover_parameter(
-    t: ExtensionOp,
-    v: IsometricOperator,
-    z0,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    t: ExtensionOp, v: IsometricOperator, z0, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ContractionOp:
     """Decode the contraction parameter of an orthogonal extension at z0.
 
@@ -361,27 +376,7 @@ def recover_parameter(
     the isometric part of the rebuilt operator does not agree with the Cayley
     transform of V at z0, i.e. t is not an orthogonal extension of v there.
     """
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise ValueError("base point must lie inside the unit disk")
-    n = v.ambient_dim
-    if z0 == 0:
-        plus_matrix = t.matrix
-    else:
-        inv = guarded_inverse(identity(n) - z0 * t.matrix, tol, "parameter recovery")
-        plus_matrix = -identity(n) / z0 + ((1.0 - abs(z0) ** 2) / z0) * inv
-    frame = DefectFrame.ensure(frame, v, z0, tol)
-    w = frame.transform
-    iso_residual = max_abs(plus_matrix @ w.domain_basis - w.image_basis)
-    src, dst = frame.src, frame.dst
-    leak = operator_norm(frame.reflected.m.basis.conj().T @ plus_matrix @ src.basis)
-    if iso_residual > 10 * tol.eps_eq or leak > 10 * tol.eps_eq:
-        raise ReconstructionMismatch(
-            f"not an orthogonal extension of V at z0 (isometric part residual "
-            f"{iso_residual:.3e}, defect leak {leak:.3e})"
-        )
-    matrix = dst.basis.conj().T @ plus_matrix @ src.basis
-    return ContractionOp(src, dst, matrix)
+    return DefectFrame(v, z0, tol).recover_parameter(t)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extensions import (
-    ContractionOp,
-    DefectFrame,
-    FamilyEvaluationError,
-    ParameterFamily,
-    extend_full,
-)
+from .extensions import ContractionOp, DefectFrame, FamilyEvaluationError, ParameterFamily
 from .isometry import (
     IsometricOperator,
     PreconditionViolated,
@@ -89,11 +83,7 @@ class GapOperators:
 
 
 def build_gap_operators(
-    v: IsometricOperator,
-    lam,
-    z0=0j,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, lam, z0=0j, tol: TolerancePolicy = DEFAULT_TOL
 ) -> GapOperators:
     """Construct the boundary link operator at |lam| = 1 for base point z0.
 
@@ -103,17 +93,22 @@ def build_gap_operators(
     of V at z0 (the two are equivalent).  Raises PreconditionViolated when it
     fails, or when either restricted projection degenerates.
 
-    Per frame (computed once for all boundary points): N_{z0},
-    N_{1/conj(z0)} and the Cayley transform.  Per point: the regular-type
-    test, the boundary pair N_lambda / M_lambda, the two restricted
-    projections with their SVDs, and the link with its isometry check.
+    The work splits between the defect frame of (V, z0) and the point: the
+    frame holds N_{z0}, N_{1/conj(z0)} and the Cayley transform, which a
+    caller scanning many boundary points at one frame computes once.  Per
+    point: the regular-type test, the boundary pair N_lambda / M_lambda, the
+    two restricted projections with their SVDs, and the link with its
+    isometry check.
     """
-    lam, z0 = complex(lam), complex(z0)
+    return _gap_operators(DefectFrame(v, z0, tol), lam)
+
+
+def _gap_operators(frame: DefectFrame, lam) -> GapOperators:
+    """:func:`build_gap_operators` at the frame's operator, base point and policy."""
+    v, z0, tol = frame.v, frame.z0, frame.tol
+    lam = complex(lam)
     if abs(abs(lam) - 1.0) > tol.eps_unit:
         raise ValueError("boundary point must lie on the unit circle")
-    if abs(z0) >= 1.0:
-        raise ValueError("base point must lie inside the unit disk")
-    frame = DefectFrame.ensure(frame, v, z0, tol)
     if z0 == 0:
         scalar = lam.conjugate()
         rt = regular_type(v, lam.conjugate(), tol)
@@ -156,11 +151,7 @@ class EigenResult:
 
 
 def eigen_criterion(
-    v: IsometricOperator,
-    c: ContractionOp,
-    lam,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, c: ContractionOp, lam, tol: TolerancePolicy = DEFAULT_TOL
 ) -> EigenResult:
     """Whether 1/lam is an eigenvalue of the extension V + C (base point 0).
 
@@ -169,7 +160,13 @@ def eigen_criterion(
     N_lambda and satisfies (V + C) f = conj(lam) f, which the test suite
     asserts at 10 * eps_eq.
     """
-    ops = build_gap_operators(v, lam, 0j, tol, frame)
+    return _eigen_criterion(DefectFrame(v, 0j, tol), c, lam)
+
+
+def _eigen_criterion(frame: DefectFrame, c: ContractionOp, lam) -> EigenResult:
+    """:func:`eigen_criterion` at the frame's operator and policy (base point 0)."""
+    tol = frame.tol
+    ops = _gap_operators(frame, lam)
     diff = c.matrix - ops.link.matrix
     if diff.size == 0:
         return EigenResult(False, None, math.inf)
@@ -220,11 +217,7 @@ def _pm_condition(frame: DefectFrame, m_lam: Subspace) -> tuple[bool, float]:
 
 
 def surjectivity_criterion(
-    v: IsometricOperator,
-    c: ContractionOp,
-    lam,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, c: ContractionOp, lam, tol: TolerancePolicy = DEFAULT_TOL
 ) -> CriteriaReport:
     """Surjectivity of (V + C) - (1/lam) E, decided two independent ways.
 
@@ -233,8 +226,8 @@ def surjectivity_criterion(
     route: full rank of the extension matrix minus conj(lam) (square, so
     range = H exactly when the rank is full).  Both are reported.
     """
-    frame = DefectFrame.ensure(frame, v, 0j, tol)
-    ops = build_gap_operators(v, lam, 0j, tol, frame)
+    frame = DefectFrame(v, 0j, tol)
+    ops = _gap_operators(frame, lam)
     lam = complex(lam)
     diff = c.matrix - ops.link.matrix
     p, q = diff.shape
@@ -249,9 +242,9 @@ def surjectivity_criterion(
     eigen = bool(p == q and p > 0 and s.size and float(s[-1]) <= tol.eps_rank)
     witness = None
     if eigen:
-        witness = eigen_criterion(v, c, lam, tol, frame).witness
+        witness = _eigen_criterion(frame, c, lam).witness
     cond_pm, sigma_pm = _pm_condition(frame, ops.boundary_m)
-    plus = extend_full(v, 0.0, c, tol, frame)
+    plus = frame.plus_extension(c)
     sigma_direct = sigma_min(plus.matrix - lam.conjugate() * identity(v.ambient_dim))
     crosscheck = sigma_direct > tol.eps_rank
     return CriteriaReport(
@@ -359,13 +352,14 @@ def arc_scan(
     Raises PreconditionViolated (tagged with the sample index) when the
     regular-type hypothesis breaks at a sample.
 
-    Per frame, shared by all samples: N_{z0}, the reflected pair, the Cayley
-    transform and, for a constant family, the orthogonal extension T with
-    all of its checks.  Per sample: the family value, the operators of
-    :func:`build_gap_operators` (regular type, N_lambda / M_lambda, link),
-    the SVDs of C - link and of the M-space projection, and sigma_min of
-    E - lam T; Blaschke and tabulated values get T assembled per sample from
-    the frame's cached parts.
+    Per frame (``frame``, or one built for (v, z0, tol)), shared by all
+    samples: N_{z0}, the reflected pair, the Cayley transform and, for a
+    constant family, the orthogonal extension T with all of its checks.  Per
+    sample: the family value, the operators of :func:`build_gap_operators`
+    (regular type, N_lambda / M_lambda, link), the SVDs of C - link and of
+    the M-space projection, and sigma_min of E - lam T; Blaschke and
+    tabulated values get T assembled per sample from the frame's cached
+    parts.
     """
     t1, t2 = float(arc[0]), float(arc[1])
     if not (0.0 <= t1 < t2 <= TWO_PI):
@@ -402,7 +396,7 @@ def arc_scan(
         cond2 = _boundary_isometry_onto(value, tol)
 
         try:
-            ops = build_gap_operators(v, lam, z0, tol, frame)
+            ops = _gap_operators(frame, lam)
         except PreconditionViolated as exc:
             raise PreconditionViolated(f"sample {j} at angle {angle:.6f}: {exc}") from exc
         diff = value.matrix - ops.link.matrix

@@ -130,6 +130,10 @@ def sigma_min(m) -> float:
     return float(s[-1]) if s.size else math.inf
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_LIFT = 2.0**600
+
+
 def _mgs(columns: np.ndarray, eps_rank: float, seed: np.ndarray | None = None):
     """Modified Gram-Schmidt over ``columns`` in input order.
 
@@ -152,6 +156,13 @@ def _mgs(columns: np.ndarray, eps_rank: float, seed: np.ndarray | None = None):
     for j in range(m):
         w = columns[:, j].astype(complex, copy=True)
         scale = math.sqrt(np.vdot(w, w).real)
+        lift = 1.0
+        if scale < _SQRT_TINY:
+            # The squares of this column leave the normal range and lose
+            # their digits: work on an exact power-of-two multiple instead.
+            lift = _LIFT
+            w *= lift
+            scale = math.sqrt(np.vdot(w, w).real)
         for _ in range(2):
             if seed_mat is not None:
                 w -= seed_mat @ (seed_mat.conj().T @ w)
@@ -160,9 +171,11 @@ def _mgs(columns: np.ndarray, eps_rank: float, seed: np.ndarray | None = None):
                 coeffs[:k, j] += r
                 w -= buf[:, :k] @ r
         nrm = math.sqrt(np.vdot(w, w).real)
+        if lift != 1.0:
+            coeffs[:k, j] /= lift
         if scale == 0.0 or nrm <= eps_rank * scale:
             continue
-        coeffs[k, j] = nrm
+        coeffs[k, j] = nrm / lift
         kept.append(j)
         buf[:, k] = w / nrm
         k += 1

@@ -51,12 +51,15 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _interior(frame: DefectFrame, fam: ParameterFamily, zeta: complex) -> np.ndarray:
+    """[E - zeta T(zeta)]^{-1} for the orthogonal extension T(zeta) at the frame."""
+    ext = frame.extension(fam.value_at(zeta, frame.tol))
+    n = frame.v.ambient_dim
+    return guarded_inverse(identity(n) - zeta * ext.matrix, frame.tol, "interior resolvent")
+
+
 def chumakin(
-    v: IsometricOperator,
-    fam: ParameterFamily,
-    zeta,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, fam: ParameterFamily, zeta, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
     """Resolvent by the base-point-0 formula: [E - zeta (V + F(zeta))]^{-1}.
 
@@ -68,18 +71,11 @@ def chumakin(
         raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != 0:
         raise ValueError("family must be based at 0")
-    ext = DefectFrame.ensure(frame, v, 0j, tol).extension(fam.value_at(zeta, tol))
-    n = v.ambient_dim
-    return guarded_inverse(identity(n) - zeta * ext.matrix, tol, "interior resolvent")
+    return _interior(DefectFrame(v, 0j, tol), fam, zeta)
 
 
 def inin(
-    v: IsometricOperator,
-    z0,
-    fam: ParameterFamily,
-    zeta,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
+    v: IsometricOperator, z0, fam: ParameterFamily, zeta, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
     """Resolvent by the general-base-point formula through the orthogonal extension.
 
@@ -91,19 +87,17 @@ def inin(
         raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != z0:
         raise ValueError("family base point does not match z0")
-    ext = DefectFrame.ensure(frame, v, z0, tol).extension(fam.value_at(zeta, tol))
-    n = v.ambient_dim
-    return guarded_inverse(identity(n) - zeta * ext.matrix, tol, "interior resolvent")
+    return _interior(DefectFrame(v, z0, tol), fam, zeta)
 
 
 @dataclass(frozen=True)
 class ResolventFn:
     """A generalized resolvent: operator, parameter family, and base point.
 
-    Its defect frame is built under ``tol`` (or passed in as ``frame``) and
-    serves every evaluation under that policy, so a constant family's
-    extension is assembled once and each value costs one inversion.  An
-    evaluation under another policy builds a frame of its own.
+    Every evaluation runs under ``tol``.  The defect frame of (v, z0) under
+    that policy is built once (or passed in as ``frame``) and serves every
+    value, so a constant family's extension is assembled once and each value
+    costs one inversion.
     """
 
     v: IsometricOperator
@@ -122,33 +116,29 @@ class ResolventFn:
         if violations:
             raise ValueError(violations[0])
 
-    def frame_for(self, tol: TolerancePolicy) -> DefectFrame:
-        """The resolvent's own frame when ``tol`` is its policy, else a new one."""
-        return self.frame if tol == self.tol else DefectFrame(self.v, self.z0, tol)
+    def interior(self, zeta) -> np.ndarray:
+        """Value at |zeta| < 1 by the orthogonal-extension formula (:func:`inin`)."""
+        zeta = complex(zeta)
+        if abs(zeta) >= 1.0:
+            raise ValueError("interior formula requires |zeta| < 1")
+        return _interior(self.frame, self.fam, zeta)
 
-    def interior(self, zeta, tol: TolerancePolicy | None = None) -> np.ndarray:
-        tol = self.tol if tol is None else tol
-        frame = self.frame_for(tol)
-        if self.z0 == 0:
-            return chumakin(self.v, self.fam, zeta, tol, frame)
-        return inin(self.v, self.z0, self.fam, zeta, tol, frame)
-
-    def at(self, z, tol: TolerancePolicy | None = None) -> np.ndarray:
+    def at(self, z) -> np.ndarray:
         """Value on either branch; points of the unit circle are rejected."""
         z = complex(z)
         if abs(z) < 1.0:
-            return self.interior(z, tol)
+            return self.interior(z)
         if abs(z) > 1.0:
-            return exterior_value(self, z, tol)
+            return exterior_value(self, z)
         raise ValueError("the two branches meet the circle only through the gap criteria")
 
 
-def exterior_value(r: ResolventFn, z, tol: TolerancePolicy | None = None) -> np.ndarray:
+def exterior_value(r: ResolventFn, z) -> np.ndarray:
     """Exterior branch via the reflection identity: E - (interior at 1/conj(z))^H."""
     z = complex(z)
     if abs(z) <= 1.0:
         raise ValueError("exterior branch requires |z| > 1")
-    inner = r.interior(1.0 / z.conjugate(), tol)
+    inner = r.interior(1.0 / z.conjugate())
     return identity(r.v.ambient_dim) - inner.conj().T
 
 
@@ -191,15 +181,13 @@ class HerglotzSample:
     value: complex
 
 
-def herglotz_samples(
-    r: ResolventFn, grid, vectors, tol: TolerancePolicy = DEFAULT_TOL
-) -> list[HerglotzSample]:
+def herglotz_samples(r: ResolventFn, grid, vectors) -> list[HerglotzSample]:
     """Evaluate f_h(z) = (R_z h, h) - ||h||^2 / 2 over a grid of interior
     points and probe vectors; its real part must be nonnegative on the disk."""
     out = []
     for z in grid:
         z = complex(z)
-        rz = r.interior(z, tol)
+        rz = r.interior(z)
         for h in vectors:
             h = np.asarray(h, dtype=complex).reshape(-1)
             value = complex(np.vdot(h, rz @ h)) - 0.5 * float(np.vdot(h, h).real)
@@ -207,9 +195,9 @@ def herglotz_samples(
     return out
 
 
-def herglotz_check(r: ResolventFn, grid, vectors, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def herglotz_check(r: ResolventFn, grid, vectors) -> float:
     """Minimum real part over the sampled disk function (>= -eps_eq expected)."""
-    samples = herglotz_samples(r, grid, vectors, tol)
+    samples = herglotz_samples(r, grid, vectors)
     if not samples:
         raise ValueError("empty sample set")
     return min(s.value.real for s in samples)
@@ -242,7 +230,7 @@ def gap_on_arc(
     return not witnesses, witnesses
 
 
-def continuation_consistency(r: ResolventFn, lam, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def continuation_consistency(r: ResolventFn, lam) -> float:
     """Boundary gluing residual of the two resolvent branches at |lam| = 1.
 
     Freezes the orthogonal extension T at the boundary point (the parameter
@@ -254,10 +242,10 @@ def continuation_consistency(r: ResolventFn, lam, tol: TolerancePolicy = DEFAULT
     exterior values glue at lam; a singular E - lam T (conj(lam) an
     eigenvalue of T) raises SingularOperator, signalling no continuation.
     """
-    lam = complex(lam)
+    lam, tol = complex(lam), r.tol
     if abs(abs(lam) - 1.0) > tol.eps_unit:
         raise ValueError("gluing point must lie on the unit circle")
-    ext = r.frame_for(tol).extension(r.fam.value_at(lam, tol))
+    ext = r.frame.extension(r.fam.value_at(lam, tol))
     n = r.v.ambient_dim
     forward = guarded_inverse(identity(n) - lam * ext.matrix, tol, "boundary continuation")
     backward = guarded_inverse(

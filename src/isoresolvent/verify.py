@@ -18,12 +18,10 @@ from .extensions import (
     DefectFrame,
     ParameterFamily,
     constant_family,
-    extend_full,
     orthogonal_extension,
-    recover_parameter,
     validate_family,
 )
-from .gap import surjectivity_criterion, eigen_criterion
+from .gap import _eigen_criterion, surjectivity_criterion
 from .isometry import (
     INF,
     IsometricOperator,
@@ -33,14 +31,7 @@ from .isometry import (
     regular_type,
 )
 from .numerics import DEFAULT_TOL, TolerancePolicy, identity, max_abs
-from .resolvents import (
-    ResolventFn,
-    chumakin,
-    exterior_value,
-    herglotz_check,
-    inin,
-    verify_inversion,
-)
+from .resolvents import ResolventFn, exterior_value, herglotz_check, inin, verify_inversion
 from .transforms import cayley, regular_type_correspondence, relate_resolvents
 
 __all__ = ["PropertyResult", "run_property_suite"]
@@ -63,16 +54,14 @@ def run_property_suite(
     z0: complex,
     seed: int = 0,
     tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
 ) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     results: list[PropertyResult] = []
     n = v.ambient_dim
-    frame = DefectFrame.ensure(frame, v, z0, tol)
 
     # Scenario family sanity.
     grid = sampling.disk_grid(12)
-    report = validate_family(fam, v, grid, tol, frame)
+    report = validate_family(fam, v, grid, tol)
     results.append(
         _result(
             "scenario_family_contractive",
@@ -83,7 +72,7 @@ def run_property_suite(
 
     # Resolvent at the origin is the identity.
     try:
-        r0 = inin(v, z0, fam, 0.0, tol, frame)
+        r0 = inin(v, z0, fam, 0.0, tol)
         dev = max_abs(r0 - identity(n))
         results.append(_result("resolvent_at_origin_is_identity", dev <= tol.eps_eq, f"max deviation {dev:.2e}"))
     except Exception as exc:
@@ -97,14 +86,13 @@ def run_property_suite(
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
-        frame_z, frame_0 = DefectFrame(vv, zz, tol), DefectFrame(vv, 0j, tol)
-        ext = frame_z.extension(c)
-        f0 = recover_parameter(ext, vv, 0.0, tol, frame_0)
-        fam0 = constant_family(f0, 0.0)
-        famz = constant_family(c, zz)
+        r_z = ResolventFn(vv, constant_family(c, zz), zz, tol)
+        frame_0 = DefectFrame(vv, 0j, tol)
+        f0 = frame_0.recover_parameter(r_z.frame.extension(c))
+        r_0 = ResolventFn(vv, constant_family(f0, 0.0), 0.0, tol, frame_0)
         for zeta in sampling.disk_grid(6):
-            a = inin(vv, zz, famz, zeta, tol, frame_z)
-            b = chumakin(vv, fam0, zeta, tol, frame_0)
+            a = r_z.interior(zeta)
+            b = r_0.interior(zeta)
             worst = max(worst, max_abs(a - b))
             count += 1
     results.append(
@@ -127,8 +115,8 @@ def run_property_suite(
             if min(abs(u), abs(u - zz)) < 0.05:
                 continue
             t = (u - zz) / (1.0 - zz.conjugate() * u)
-            got = relate_resolvents(r_inner.at(t, tol), zz, u, tol)
-            want = r_outer.at(u, tol)
+            got = relate_resolvents(r_inner.at(t), zz, u, tol)
+            want = r_outer.at(u)
             worst = max(worst, max_abs(got - want))
     results.append(_result("resolvent_rebase_relation", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))
 
@@ -171,13 +159,13 @@ def run_property_suite(
         if frame0.src.dim == 0:
             continue
         c = sampling.random_unitary_parameter(rng, vv)
-        t = extend_full(vv, 0.0, c, tol, frame0)
+        t = frame0.plus_extension(c)
         eigs = np.linalg.eigvals(t.matrix)
         for mu in eigs:
             lam = complex(mu).conjugate()
             if regular_type(vv, complex(mu), tol).sigma_min <= 1e-3:
                 continue
-            if not eigen_criterion(vv, c, lam, tol, frame0).is_eigenvalue:
+            if not _eigen_criterion(frame0, c, lam).is_eigenvalue:
                 disagreements += 1
         for _ in range(5):
             lam = sampling.random_boundary_point(rng)
@@ -186,7 +174,7 @@ def run_property_suite(
                 continue
             if min(abs(np.angle(np.asarray(eigs) / mu))) < 1e-3:
                 continue
-            if eigen_criterion(vv, c, lam, tol, frame0).is_eigenvalue:
+            if _eigen_criterion(frame0, c, lam).is_eigenvalue:
                 disagreements += 1
     results.append(_result("eigenvalue_criterion_agreement", disagreements == 0, f"{disagreements} disagreements"))
 
@@ -228,7 +216,7 @@ def run_property_suite(
         for _ in range(3):
             z = (1.2 + rng.uniform(0.0, 1.5)) * sampling.random_boundary_point(rng)
             direct = np.linalg.solve(identity(vv.ambient_dim) - z * u, identity(vv.ambient_dim))
-            worst = max(worst, max_abs(exterior_value(r, z, tol) - direct))
+            worst = max(worst, max_abs(exterior_value(r, z) - direct))
     results.append(_result("exterior_branch", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))
 
     # Herglotz positivity of the sampled disk function.
@@ -239,7 +227,7 @@ def run_property_suite(
         r = ResolventFn(vv, constant_family(c, 0.0), 0.0, tol)
         zs = [sampling.random_disk_point(rng, 0.0, 0.9) for _ in range(3)]
         hs = [rng.standard_normal(vv.ambient_dim) + 1j * rng.standard_normal(vv.ambient_dim)]
-        minimum = min(minimum, herglotz_check(r, zs, hs, tol))
+        minimum = min(minimum, herglotz_check(r, zs, hs))
     results.append(_result("herglotz_positivity", minimum >= -tol.eps_eq, f"min real part {minimum:.2e}"))
 
     # Base-point independence of the orthogonal extension.
@@ -251,8 +239,8 @@ def run_property_suite(
         ext_a = orthogonal_extension(vv, za, c, tol)
         for zb in (0.3 + 0j, -0.2 + 0.4j, 0.5j):
             frame_b = DefectFrame(vv, zb, tol)
-            cb = recover_parameter(ext_a, vv, zb, tol, frame_b)
-            ext_b = orthogonal_extension(vv, zb, cb, tol, frame_b)
+            cb = frame_b.recover_parameter(ext_a)
+            ext_b = frame_b.extension(cb)
             worst = max(worst, max_abs(ext_b.matrix - ext_a.matrix))
     results.append(_result("base_point_independence", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))
 
@@ -263,8 +251,7 @@ def run_property_suite(
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
         frame_z = DefectFrame(vv, zz, tol)
-        ext = orthogonal_extension(vv, zz, c, tol, frame_z)
-        back = recover_parameter(ext, vv, zz, tol, frame_z)
+        back = frame_z.recover_parameter(frame_z.extension(c))
         worst = max(worst, max_abs(back.matrix - c.matrix))
     results.append(_result("parameter_roundtrip", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))
 

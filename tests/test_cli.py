@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from isoresolvent.cli import ScenarioError, main, parse_scenario
@@ -152,6 +153,36 @@ class TestCommands:
     def test_verify_rejects_bad_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario(c=1.2))
         assert main([path, "verify"]) == 1
+
+    @pytest.mark.parametrize("z0", [[0.0, 0.0], [0.3, 0.1]])
+    @pytest.mark.parametrize(
+        "command", [["resolvent", "--zeta", "0.5", "0.1"], ["gap-scan", "--arc", "0.5", "1.5"]]
+    )
+    def test_policy_below_roundoff_is_an_input_error(self, tmp_path, capsys, command, z0):
+        """With eps_eq far below eps_unit and roundoff the orthogonal extension
+        fails its checks (at z0 = 0 the extends-V residual): exit 1 with a
+        message, no traceback."""
+        rng = np.random.default_rng(5)
+        n, d = 6, 3
+        dom, img = (
+            np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0][:, :d]
+            for _ in range(2)
+        )
+        columns = lambda b: [[[x.real, x.imag] for x in col] for col in b.T]
+        doc = {
+            "ambient_dim": n,
+            "domain_basis": columns(dom),
+            "image_basis": columns(img),
+            "z0": z0,
+            "family": {"kind": "constant", "matrix": [[[0.0, 0.0]] * (n - d)] * (n - d)},
+            "toler": {"eps_eq": 1e-300},
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main([path, *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if z0 == [0.0, 0.0]:
+            assert "does not extend V" in err
 
     def test_missing_file(self, capsys):
         assert main(["/nonexistent/scenario.json", "defect"]) == 1

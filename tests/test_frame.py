@@ -19,13 +19,17 @@ from isoresolvent import (
     arc_scan,
     blaschke_family,
     constant_family,
+    continuation_consistency,
     defect_spaces,
     extend_full,
+    herglotz_check,
     orthogonal_extension,
     reflected_point,
+    validate_family,
 )
 from isoresolvent.cli import main, parse_scenario
 from isoresolvent.sampling import random_unitary
+from isoresolvent.verify import run_property_suite
 
 Z0_CASES = [0j, 0.3 - 0.2j]
 
@@ -148,10 +152,44 @@ class TestFrame:
 
     def test_foreign_frame_rejected(self, rng):
         v, c, _ = restriction(rng, 6, 4, 0j)
+        fam = constant_family(c, 0j)
         with pytest.raises(ValueError, match="another operator"):
-            extend_full(v, 0.0, c, frame=DefectFrame(v, 0.1))
+            ResolventFn(v, fam, 0j, frame=DefectFrame(v, 0.1))
         with pytest.raises(ValueError, match="another operator"):
-            extend_full(v, 0.0, c, frame=DefectFrame(v, 0.0, TolerancePolicy(eps_rank=1e-10)))
+            arc_scan(v, fam, (0.1, 1.3), frame=DefectFrame(v, 0.0, TolerancePolicy(eps_rank=1e-10)))
+        other, _, _ = restriction(rng, 6, 4, 0j)
+        with pytest.raises(ValueError, match="another operator"):
+            validate_family(fam, v, [0.0], frame=DefectFrame(other, 0.0))
+
+    def test_resolvent_policy_serves_every_evaluation(self, monkeypatch, rng):
+        """One policy per resolvent: values, both branches, Herglotz samples and
+        the boundary gluing all run on the resolvent's own frame."""
+        policy = TolerancePolicy(eps_rank=1e-10, eps_eq=1e-9, eps_unit=1e-9)
+        v, c, _ = restriction(rng, 6, 4, 0.2j)
+        seen = []
+        original = isoresolvent.isometry.defect_spaces
+
+        def spy(v, zeta, tol=DEFAULT_TOL):
+            seen.append(tol)
+            return original(v, zeta, tol)
+
+        patch_everywhere(monkeypatch, original, spy)
+        r = ResolventFn(v, constant_family(c, 0.2j), 0.2j, policy)
+        calls = len(seen)
+        r.at(0.5)
+        r.at(-2.0j)
+        herglotz_check(r, [0.1, 0.6j], [np.ones(6)])
+        continuation_consistency(r, np.exp(0.7j))
+        assert len(seen) == calls <= 2
+        assert all(tol == policy for tol in seen)
+
+    def test_suite_reports_family_base_mismatch(self):
+        """A family based elsewhere than z0 fails properties; it does not raise."""
+        v = IsometricOperator(2, [[1], [0]], [[0], [1]])
+        c = ContractionOp(defect_spaces(v, 0j).n, defect_spaces(v, reflected_point(0j)).n, [[0.5]])
+        results = {r.name: r for r in run_property_suite(v, constant_family(c, 0j), 0.3)}
+        assert results["scenario_family_contractive"].passed
+        assert not results["resolvent_at_origin_is_identity"].passed
 
     def test_one_space_check_for_parameters_and_families(self, rng):
         z0 = 0.2j

@@ -49,6 +49,12 @@ class TestOrthonormalize:
         assert s.dim == 1
         assert_allclose(s.basis, [[1], [0]], atol=1e-14)
 
+    @pytest.mark.parametrize("size", [6.756904881675528e-161, 1e-200, 5e-324])
+    def test_tiny_vector_normalized(self, size):
+        # Squares of these entries underflow below the normal range.
+        s = orthonormalize([[0, 0, size], [0, size, size]])
+        assert_allclose(s.basis, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             orthonormalize([[1, 0], [1, 0, 0]])
