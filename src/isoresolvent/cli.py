@@ -2,10 +2,11 @@
 
 Scenario files are JSON; complex numbers are 2-element ``[re, im]`` arrays,
 basis fields list column vectors, operator matrices list rows.  Commands
-emit a JSON report (to ``--out`` or stdout) and exit with 0 on success or a
-certified gap, 1 on input errors, and 2 when a property is violated or a
-scan is not certified.  Reports are byte-identical for identical inputs and
-seed.
+stream a strict JSON report (to ``--out`` or stdout), laid out as
+``json.dumps(report, indent=2)``, and exit with 0 on success or a certified
+gap, 1 on input errors and library failures, and 2 when a property is
+violated or a scan is not certified.  Reports are byte-identical for
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .isometry import (
     is_inf_point,
     regular_type,
 )
-from .numerics import DEFAULT_TOL, TolerancePolicy, max_abs
+from .numerics import DEFAULT_TOL, SingularOperator, TolerancePolicy, max_abs
 from .resolvents import ResolventFn
 from .sampling import disk_grid
 from .verify import run_property_suite
@@ -70,10 +72,37 @@ def _complex_from(doc, where: str) -> complex:
     re, im = doc
     if not all(isinstance(x, (int, float)) for x in (re, im)):
         raise ScenarioError(f"{where}: complex parts must be numbers")
-    return complex(re, im)
+    try:
+        z = complex(re, im)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ScenarioError(f"{where}: complex parts must be finite numbers")
+    return z
+
+
+def _complex_array(doc, where: str) -> np.ndarray | None:
+    """Decode a uniform array of numeric [re, im] pairs in one pass.
+
+    Returns None when ``doc`` is not such an array, so the caller's entry
+    loop can name the malformed part; non-finite parts are rejected here.
+    """
+    try:
+        pairs = np.array(doc)
+    except ValueError:  # ragged nesting
+        return None
+    if pairs.ndim < 2 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "biuf":
+        return None
+    pairs = np.ascontiguousarray(pairs, dtype=float)
+    if not np.isfinite(pairs).all():
+        raise ScenarioError(f"{where}: complex parts must be finite numbers")
+    return pairs.view(complex)[..., 0]
 
 
 def _matrix_from_rows(doc, where: str) -> np.ndarray:
+    matrix = _complex_array(doc, where)
+    if matrix is not None and matrix.ndim == 2:
+        return matrix
     if not isinstance(doc, list):
         raise ScenarioError(f"{where}: expected an array of row arrays")
     rows = []
@@ -87,6 +116,9 @@ def _matrix_from_rows(doc, where: str) -> np.ndarray:
 
 
 def _basis_from_columns(doc, n: int, where: str) -> np.ndarray:
+    columns = _complex_array(doc, where)
+    if columns is not None and columns.ndim == 2 and columns.shape[1] == n:
+        return columns.T
     if not isinstance(doc, list):
         raise ScenarioError(f"{where}: expected an array of column vectors")
     cols = []
@@ -134,7 +166,7 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
         tol = DEFAULT_TOL
 
     n = doc["ambient_dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ScenarioError("ambient_dim must be a positive integer")
     domain = _basis_from_columns(doc["domain_basis"], n, "domain_basis")
     image = _basis_from_columns(doc["image_basis"], n, "image_basis")
@@ -218,15 +250,17 @@ def _jsonify_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _jsonify_matrix(m: np.ndarray) -> list:
-    rows = zip(m.real.tolist(), m.imag.tolist())
-    return [[[re, im] for re, im in zip(row_re, row_im)] for row_re, row_im in rows]
-
-
 def _parse_point(re: float, im: float):
+    if math.isnan(re) or math.isnan(im):
+        raise ScenarioError("--zeta takes numbers (use --zeta inf 0 for the range pair)")
     if math.isinf(re) or math.isinf(im):
         return INF
     return complex(re, im)
+
+
+def _require_finite(flag: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"{flag} must be finite")
 
 
 def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
@@ -236,8 +270,8 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
         "zeta": "INF" if is_inf_point(zeta) else _jsonify_complex(complex(zeta)),
         "dim_m": pair.m.dim,
         "dim_n": pair.n.dim,
-        "m_basis": _jsonify_matrix(pair.m.basis),
-        "n_basis": _jsonify_matrix(pair.n.basis),
+        "m_basis": pair.m.basis,
+        "n_basis": pair.n.basis,
     }
     if not is_inf_point(zeta):
         rt = regular_type(scenario.operator, complex(zeta), scenario.tol)
@@ -256,35 +290,30 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[str] | None]:
+def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[complex] | None]:
     r = ResolventFn(scenario.operator, scenario.family, scenario.z0, scenario.tol, scenario.frame)
     if args.grid is not None:
         points = disk_grid(args.grid)
         points = points + [1.0 / z.conjugate() for z in points if z != 0]
-        values = []
-        csv_lines = ["zeta_re,zeta_im,entry_row,entry_col,value_re,value_im"]
-        for z in points:
-            m = r.at(z)
-            values.append({"zeta": _jsonify_complex(z), "matrix": _jsonify_matrix(m)})
-            # Plain Python floats: numpy 2 scalars repr as np.float64(x).
-            head = f"{z.real!r},{z.imag!r}"
-            for i, (row_re, row_im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
-                for j, (re, im) in enumerate(zip(row_re, row_im)):
-                    csv_lines.append(f"{head},{i},{j},{re!r},{im!r}")
-        return {"points": values}, EXIT_OK, csv_lines
+        values = [{"zeta": _jsonify_complex(z), "matrix": r.at(z)} for z in points]
+        return {"points": values}, EXIT_OK, points
     if not args.zeta:
         raise ScenarioError("resolvent needs --zeta or --grid")
+    _require_finite("--zeta", math.hypot(*args.zeta))  # a modulus beyond float range is inf
     z = complex(args.zeta[0], args.zeta[1])
     if abs(abs(z) - 1.0) <= scenario.tol.eps_unit:
         raise ScenarioError("resolvent is evaluated off the unit circle only")
     m = r.at(z)
     branch = "interior" if abs(z) < 1 else "exterior"
-    return {"zeta": _jsonify_complex(z), "branch": branch, "matrix": _jsonify_matrix(m)}, EXIT_OK, None
+    return {"zeta": _jsonify_complex(z), "branch": branch, "matrix": m}, EXIT_OK, None
 
 
 def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
     if not args.arc:
         raise ScenarioError("gap-scan needs --arc t1 t2")
+    _require_finite("--arc", *args.arc)
+    if args.continuity_bound is not None:
+        _require_finite("--continuity-bound", args.continuity_bound)
     try:
         report = arc_scan(
             scenario.operator,
@@ -337,13 +366,18 @@ def _cmd_verify(scenario: Scenario, args) -> tuple[dict, int]:
     return doc, EXIT_OK if doc["all_passed"] else EXIT_VIOLATION
 
 
-def run_command(scenario: Scenario, command: str, args) -> tuple[dict, int, list[str] | None]:
-    """Dispatch one CLI command; returns (report, exit_code, csv_lines)."""
-    csv_lines = None
+def run_command(scenario: Scenario, command: str, args) -> tuple[dict, int, list[complex] | None]:
+    """Dispatch one CLI command; returns (report, exit_code, grid).
+
+    Matrices in the report are complex numpy arrays, which :func:`_write_report`
+    writes as rows of ``[re, im]`` pairs.  ``grid`` lists the points of a
+    ``resolvent --grid`` run, in the order of ``report["points"]``, else None.
+    """
+    grid = None
     if command == "defect":
         report, code = _cmd_defect(scenario, args)
     elif command == "resolvent":
-        report, code, csv_lines = _cmd_resolvent(scenario, args)
+        report, code, grid = _cmd_resolvent(scenario, args)
     elif command == "gap-scan":
         report, code = _cmd_gap_scan(scenario, args)
     elif command == "verify":
@@ -351,7 +385,100 @@ def run_command(scenario: Scenario, command: str, args) -> tuple[dict, int, list
     else:
         raise ScenarioError(f"unknown command {command!r}")
     report = {"command": command, "seed": args.seed, **report}
-    return report, code, csv_lines
+    return report, code, grid
+
+
+_SCALAR = json.JSONEncoder(allow_nan=False).encode
+
+
+def _matrix_text(m: np.ndarray, level: int, on_matrix) -> str:
+    """``m`` as ``json.dumps`` writes its rows of [re, im] pairs at nesting
+    ``level`` with indent 2.  Each part is formatted once, by ``repr``, and
+    the strings are also handed to ``on_matrix(shape, real, imag)``."""
+    real = list(map(repr, m.real.ravel().tolist()))
+    imag = list(map(repr, m.imag.ravel().tolist()))
+    if on_matrix is not None:
+        on_matrix(m.shape, real, imag)
+    n_rows, n_cols = m.shape
+    if not n_rows:
+        return "[]"
+    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+    if n_cols:
+        pairs = list(map(("," + i3).join, zip(real, imag)))
+        between = i2 + "]," + i2 + "[" + i3
+        rows = [
+            f"[{i2}[{i3}{between.join(pairs[r * n_cols:(r + 1) * n_cols])}{i2}]{i1}]"
+            for r in range(n_rows)
+        ]
+    else:
+        rows = ["[]"] * n_rows
+    return "[" + i1 + ("," + i1).join(rows) + i0 + "]"
+
+
+def _chunks(obj, level: int, on_matrix):
+    """Yield the text of ``json.dumps(obj, indent=2)`` piece by piece: one
+    piece per scalar, per container bracket and per matrix."""
+    if isinstance(obj, np.ndarray):
+        yield _matrix_text(obj, level, on_matrix)
+    elif isinstance(obj, dict) and obj:
+        inner = "\n" + "  " * (level + 1)
+        opening = "{" + inner
+        for key, value in obj.items():
+            yield opening + _SCALAR(key) + ": "
+            yield from _chunks(value, level + 1, on_matrix)
+            opening = "," + inner
+        yield "\n" + "  " * level + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = "\n" + "  " * (level + 1)
+        opening = "[" + inner
+        for value in obj:
+            yield opening
+            yield from _chunks(value, level + 1, on_matrix)
+            opening = "," + inner
+        yield "\n" + "  " * level + "]"
+    else:
+        yield _SCALAR(obj)
+
+
+def _finite(obj) -> bool:
+    """True when ``obj`` holds no NaN or infinity, which strict JSON cannot carry."""
+    if isinstance(obj, np.ndarray):
+        return bool(np.isfinite(obj).all())
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return all(map(_finite, obj))
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+def _write_report(report: dict, write, on_matrix=None) -> None:
+    r"""Stream ``json.dumps(report, indent=2) + "\n"`` through ``write``,
+    matrices (complex numpy arrays) as rows of ``[re, im]`` pairs.
+
+    Callers check the report with :func:`_finite` first, so no partial
+    report is written; scalars are encoded without NaN or Infinity tokens.
+    """
+    for chunk in _chunks(report, 0, on_matrix):
+        write(chunk)
+    write("\n")
+
+
+def _csv_rows(write, grid: list[complex]):
+    """Write the CSV header and return an ``on_matrix`` hook that writes the
+    rows of the k-th matrix it receives as the value at ``grid[k]``."""
+    points = iter(grid)
+    indices = {}
+    write("zeta_re,zeta_im,entry_row,entry_col,value_re,value_im\n")
+
+    def rows(shape, real, imag):
+        z = next(points)
+        if shape not in indices:
+            indices[shape] = [f"{i},{j}," for i in range(shape[0]) for j in range(shape[1])]
+        head = f"{z.real!r},{z.imag!r},"
+        lines = zip(repeat(head), indices[shape], real, repeat(","), imag, repeat("\n"))
+        write("".join(map("".join, lines)))
+
+    return rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,23 +518,22 @@ def main(argv=None) -> int:
         scenario = parse_scenario(text)
         if args.command == "resolvent" and args.grid is not None and args.out is None:
             raise ScenarioError("resolvent --grid needs --out (the CSV is written next to it)")
-        report, code, csv_lines = run_command(scenario, args.command, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+        report, code, grid = run_command(scenario, args.command, args)
+        if not _finite(report):
+            raise ValueError("the report holds a non-finite number, which JSON cannot carry")
+    except (ValueError, SingularOperator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    payload = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-        if csv_lines is not None:
-            with open(args.out + ".csv", "w") as fh:
-                fh.write("\n".join(csv_lines) + "\n")
-    else:
-        sys.stdout.write(payload)
+    if not args.out:
+        _write_report(report, sys.stdout.write)
+        return code
+    with open(args.out, "w") as fh:
+        if grid is None:
+            _write_report(report, fh.write)
+        else:
+            with open(args.out + ".csv", "w") as csv:
+                _write_report(report, fh.write, _csv_rows(csv.write, grid))
     return code
 
 

@@ -52,12 +52,14 @@ class SingularOperator(Exception):
     """Inversion was requested for a numerically singular operator.
 
     Carries the offending smallest singular value so callers can report how
-    far below the rank cutoff the operator sits.
+    far below the rank cutoff the operator sits.  ``reason`` replaces the
+    rank-cutoff text when the inverse failed on another test, such as its
+    residual; ``context`` names the caller's operator in front of either.
     """
 
-    def __init__(self, sigma: float, context: str = ""):
+    def __init__(self, sigma: float, context: str = "", reason: str = ""):
         self.sigma_min = float(sigma)
-        msg = f"smallest singular value {self.sigma_min:.3e} is below the rank cutoff"
+        msg = reason or f"smallest singular value {self.sigma_min:.3e} is below the rank cutoff"
         if context:
             msg = f"{context}: {msg}"
         super().__init__(msg)
@@ -404,5 +406,7 @@ def guarded_inverse(m, tol: TolerancePolicy = DEFAULT_TOL, context: str = "") ->
     inv = np.linalg.solve(m, identity(n))
     residual = max_abs(m @ inv - identity(n))
     if residual > tol.eps_eq:
-        raise SingularOperator(smin, context or f"inverse residual {residual:.3e}")
+        raise SingularOperator(
+            smin, context, f"inverse residual {residual:.3e} exceeds eps_eq {tol.eps_eq:.3e}"
+        )
     return inv
