@@ -281,6 +281,8 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
         }
         if complex(zeta) != 0:
             inv = 1.0 / complex(zeta).conjugate()
+            if not (math.isfinite(inv.real) and math.isfinite(inv.imag)):
+                raise ScenarioError("--zeta is so small that 1/conj(zeta) leaves the float range")
             rt_inv = regular_type(scenario.operator, inv, scenario.tol)
             report["regular_type_at_circle_inverse"] = {
                 "point": _jsonify_complex(inv),
@@ -528,12 +530,16 @@ def main(argv=None) -> int:
     if not args.out:
         _write_report(report, sys.stdout.write)
         return code
-    with open(args.out, "w") as fh:
-        if grid is None:
-            _write_report(report, fh.write)
-        else:
-            with open(args.out + ".csv", "w") as csv:
-                _write_report(report, fh.write, _csv_rows(csv.write, grid))
+    try:
+        with open(args.out, "w") as fh:
+            if grid is None:
+                _write_report(report, fh.write)
+            else:
+                with open(args.out + ".csv", "w") as csv:
+                    _write_report(report, fh.write, _csv_rows(csv.write, grid))
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

@@ -395,12 +395,15 @@ def validate_family(
     """Check a parameter family against an operator over a sample grid.
 
     Verifies the family acts between the defect spaces of v at its base
-    point and that every sampled value is a contraction.  Blaschke families
-    additionally get their factor checked to be unimodular on the circle,
-    which the boundary isometry condition of the gap criteria relies on.
-    Violations are reported, never raised.
+    point and that every sampled value is a contraction.  A tabulated family
+    is sampled at its own points instead of ``grid``, the only points where
+    it has values.  Blaschke families additionally get their factor checked
+    to be unimodular on the circle, which the boundary isometry condition of
+    the gap criteria relies on.  Violations are reported, never raised.
     """
     violations = DefectFrame.ensure(frame, v, fam.z0, tol).space_violations(fam, "family")
+    if fam.kind == "table":
+        grid = [point for point, _ in fam.table]
     for zeta in grid:
         try:
             value = fam.value_at(zeta, tol)

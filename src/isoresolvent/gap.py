@@ -39,7 +39,6 @@ from .numerics import (
     identity,
     max_abs,
     sigma_min,
-    singular_values,
 )
 
 __all__ = [
@@ -160,26 +159,8 @@ def eigen_criterion(
     N_lambda and satisfies (V + C) f = conj(lam) f, which the test suite
     asserts at 10 * eps_eq.
     """
-    return _eigen_criterion(DefectFrame(v, 0j, tol), c, lam)
-
-
-def _eigen_criterion(frame: DefectFrame, c: ContractionOp, lam) -> EigenResult:
-    """:func:`eigen_criterion` at the frame's operator and policy (base point 0)."""
-    tol = frame.tol
-    ops = _gap_operators(frame, lam)
-    diff = c.matrix - ops.link.matrix
-    if diff.size == 0:
-        return EigenResult(False, None, math.inf)
-    s = singular_values(diff)
-    smin = float(s[-1])
-    if smin > tol.eps_rank:
-        return EigenResult(False, None, smin)
-    _, _, vh = np.linalg.svd(diff)
-    kernel = vh[-1].conj()
-    coeffs = np.linalg.solve(ops.src_projection, kernel)
-    witness = ops.boundary_defect.basis @ coeffs
-    witness = witness / np.linalg.norm(witness)
-    return EigenResult(True, witness, smin)
+    report = _boundary_criteria(DefectFrame(v, 0j, tol), c, lam)
+    return EigenResult(report.eigen, report.eigen_witness, report.sigma_cw)
 
 
 @dataclass(frozen=True)
@@ -187,8 +168,9 @@ class CriteriaReport:
     """Joint eigenvalue / surjectivity verdicts at one boundary point.
 
     ``surjective`` is the link-route verdict (cond_cw_onto and cond_pm);
-    ``crosscheck_rank`` is the direct full-rank check of the extension minus
-    1/lam.  The two routes must agree, which the property suite asserts.
+    ``crosscheck_rank`` is the direct full-rank check of E - lam T for the
+    orthogonal extension T, the matrix the arc scan tests.  The two routes
+    must agree, which the property suite asserts.
     """
 
     eigen: bool
@@ -205,14 +187,7 @@ class CriteriaReport:
 def _pm_condition(frame: DefectFrame, m_lam: Subspace) -> tuple[bool, float]:
     """Projection condition between the M spaces: P onto M at the reflected
     base point maps M_lambda onto the whole of it."""
-    m_dst = frame.reflected.m
-    if m_dst.dim == 0:
-        return True, math.inf
-    mat = m_dst.basis.conj().T @ m_lam.basis
-    s = singular_values(mat)
-    if s.size < m_dst.dim:
-        return False, 0.0
-    smin = float(s[m_dst.dim - 1])
+    smin = sigma_min(frame.reflected.m.basis.conj().T @ m_lam.basis)
     return smin > frame.tol.eps_rank, smin
 
 
@@ -223,40 +198,46 @@ def surjectivity_criterion(
 
     Link route: C - link maps the source defect space onto the target one
     (full row rank) together with the M-space projection condition.  Direct
-    route: full rank of the extension matrix minus conj(lam) (square, so
-    range = H exactly when the rank is full).  Both are reported.
+    route: full rank of E - lam T for the extension T (square, so range = H
+    exactly when the rank is full).  Both are reported.
     """
-    frame = DefectFrame(v, 0j, tol)
-    ops = _gap_operators(frame, lam)
+    return _boundary_criteria(DefectFrame(v, 0j, tol), c, lam)
+
+
+def _boundary_criteria(frame: DefectFrame, c: ContractionOp, lam) -> CriteriaReport:
+    """Both criteria at one boundary point for the frame's operator, base
+    point and policy.
+
+    :func:`_gap_operators` makes N_lambda, N_{z0} and N_{1/conj(z0)} equally
+    dimensional, so C - link is square and its smallest singular value
+    decides both the kernel and the range; the M spaces are then equally
+    dimensional as well.  The vectors of C - link are computed only on a
+    hit, for the witness.
+    """
+    tol = frame.tol
+    ext = frame.extension(c)
     lam = complex(lam)
+    ops = _gap_operators(frame, lam)
     diff = c.matrix - ops.link.matrix
-    p, q = diff.shape
-    s = singular_values(diff)
-    if p == 0:
-        cw_onto, sigma_cw = True, math.inf
-    elif p > q or s.size < p:
-        cw_onto, sigma_cw = False, 0.0
-    else:
-        sigma_cw = float(s[p - 1])
-        cw_onto = sigma_cw > tol.eps_rank
-    eigen = bool(p == q and p > 0 and s.size and float(s[-1]) <= tol.eps_rank)
+    sigma_cw = sigma_min(diff)
+    eigen = sigma_cw <= tol.eps_rank
+    cond_pm, sigma_pm = _pm_condition(frame, ops.boundary_m)
+    sigma_direct = sigma_min(identity(frame.v.ambient_dim) - lam * ext.matrix)
     witness = None
     if eigen:
-        witness = _eigen_criterion(frame, c, lam).witness
-    cond_pm, sigma_pm = _pm_condition(frame, ops.boundary_m)
-    plus = frame.plus_extension(c)
-    sigma_direct = sigma_min(plus.matrix - lam.conjugate() * identity(v.ambient_dim))
-    crosscheck = sigma_direct > tol.eps_rank
+        _, _, vh = np.linalg.svd(diff)
+        witness = ops.boundary_defect.basis @ np.linalg.solve(ops.src_projection, vh[-1].conj())
+        witness = witness / np.linalg.norm(witness)
     return CriteriaReport(
         eigen=eigen,
         eigen_witness=witness,
-        surjective=cw_onto and cond_pm,
-        cond_cw_onto=cw_onto,
+        surjective=not eigen and cond_pm,
+        cond_cw_onto=not eigen,
         cond_pm=cond_pm,
-        crosscheck_rank=crosscheck,
+        crosscheck_rank=sigma_direct > tol.eps_rank,
         sigma_cw=sigma_cw,
         sigma_pm=sigma_pm,
-        sigma_direct=float(sigma_direct),
+        sigma_direct=sigma_direct,
     )
 
 
@@ -396,25 +377,9 @@ def arc_scan(
         cond2 = _boundary_isometry_onto(value, tol)
 
         try:
-            ops = _gap_operators(frame, lam)
+            report = _boundary_criteria(frame, value, lam)
         except PreconditionViolated as exc:
             raise PreconditionViolated(f"sample {j} at angle {angle:.6f}: {exc}") from exc
-        diff = value.matrix - ops.link.matrix
-        p, q = diff.shape
-        s = singular_values(diff)
-        if p == 0:
-            invertible, onto, sigma_cw = True, True, math.inf
-        else:
-            smin = float(s[-1]) if s.size else 0.0
-            invertible = p == q and smin > tol.eps_rank
-            onto = p <= q and s.size >= p and float(s[p - 1]) > tol.eps_rank
-            sigma_cw = smin
-        cond_pm, _ = _pm_condition(frame, ops.boundary_m)
-        cond3_link = invertible and onto and cond_pm
-
-        ext = frame.extension(value)
-        sigma_direct = sigma_min(identity(v.ambient_dim) - lam * ext.matrix)
-        cond3_direct = sigma_direct > tol.eps_rank
 
         samples.append(
             ArcSample(
@@ -424,11 +389,11 @@ def arc_scan(
                 cond1=cond1,
                 cond1_label=cont_label,
                 cond2=cond2,
-                cond3_link=cond3_link,
-                cond3_direct=cond3_direct,
-                sigma_cw=sigma_cw,
-                sigma_direct=float(sigma_direct),
-                cond_pm=cond_pm,
+                cond3_link=report.surjective,
+                cond3_direct=report.crosscheck_rank,
+                sigma_cw=report.sigma_cw,
+                sigma_direct=report.sigma_direct,
+                cond_pm=report.cond_pm,
             )
         )
 

@@ -22,6 +22,8 @@ from .numerics import (
     DEFAULT_TOL,
     Subspace,
     TolerancePolicy,
+    _LIFT,
+    _SQRT_HUGE,
     _mgs,
     max_abs,
     orthogonal_complement,
@@ -167,7 +169,13 @@ def regular_type(v: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) ->
     """
     if v.domain_dim == 0:
         return RegularType(True, math.inf)
-    s = sigma_min(v.image_basis - complex(z) * v.domain_basis)
+    z = complex(z)
+    if max(abs(z.real), abs(z.imag)) < _SQRT_HUGE:
+        s = sigma_min(v.image_basis - z * v.domain_basis)
+    else:
+        # The singular values may overflow: take them of an exact
+        # power-of-two fraction of the map.
+        s = sigma_min(v.image_basis / _LIFT - (z / _LIFT) * v.domain_basis) * _LIFT
     return RegularType(s > tol.eps_rank, s)
 
 

@@ -133,24 +133,20 @@ def sigma_min(m) -> float:
 
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_SQRT_HUGE = math.sqrt(np.finfo(float).max)
 _LIFT = 2.0**600
 
 
-def _mgs(columns: np.ndarray, eps_rank: float, seed: np.ndarray | None = None):
+def _mgs(columns: np.ndarray, eps_rank: float):
     """Modified Gram-Schmidt over ``columns`` in input order.
 
-    ``seed`` columns are taken as an already orthonormal prefix that is
-    orthogonalized against but not returned.  Returns ``(q, coeffs, kept)``
-    with ``columns[:, kept] = q @ coeffs[:, kept]`` up to roundoff; columns
-    whose residual drops below ``eps_rank`` relative to their norm are
-    dropped.  A second orthogonalization pass keeps the output orthonormal
-    to machine precision.
+    Returns ``(q, coeffs, kept)`` with ``columns[:, kept] = q @ coeffs[:, kept]``
+    up to roundoff; columns whose residual drops below ``eps_rank`` relative
+    to their norm are dropped.  A second orthogonalization pass keeps the
+    output orthonormal to machine precision.
     """
     columns = np.asarray(columns, dtype=complex)
     n, m = columns.shape
-    seed_mat = None
-    if seed is not None and seed.shape[1]:
-        seed_mat = np.asarray(seed, dtype=complex)
     buf = np.zeros((n, m), dtype=complex)
     coeffs = np.zeros((m, m), dtype=complex)
     kept: list[int] = []
@@ -159,15 +155,16 @@ def _mgs(columns: np.ndarray, eps_rank: float, seed: np.ndarray | None = None):
         w = columns[:, j].astype(complex, copy=True)
         scale = math.sqrt(np.vdot(w, w).real)
         lift = 1.0
+        # The squares of such a column leave the normal range, losing their
+        # digits or overflowing: work on an exact power-of-two multiple.
         if scale < _SQRT_TINY:
-            # The squares of this column leave the normal range and lose
-            # their digits: work on an exact power-of-two multiple instead.
             lift = _LIFT
+        elif not scale < _SQRT_HUGE:
+            lift = 1.0 / _LIFT
+        if lift != 1.0:
             w *= lift
             scale = math.sqrt(np.vdot(w, w).real)
         for _ in range(2):
-            if seed_mat is not None:
-                w -= seed_mat @ (seed_mat.conj().T @ w)
             if k:
                 r = buf[:, :k].conj().T @ w
                 coeffs[:k, j] += r

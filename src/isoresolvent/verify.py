@@ -21,7 +21,7 @@ from .extensions import (
     orthogonal_extension,
     validate_family,
 )
-from .gap import _eigen_criterion, surjectivity_criterion
+from .gap import _boundary_criteria, surjectivity_criterion
 from .isometry import (
     INF,
     IsometricOperator,
@@ -165,7 +165,7 @@ def run_property_suite(
             lam = complex(mu).conjugate()
             if regular_type(vv, complex(mu), tol).sigma_min <= 1e-3:
                 continue
-            if not _eigen_criterion(frame0, c, lam).is_eigenvalue:
+            if not _boundary_criteria(frame0, c, lam).eigen:
                 disagreements += 1
         for _ in range(5):
             lam = sampling.random_boundary_point(rng)
@@ -174,7 +174,7 @@ def run_property_suite(
                 continue
             if min(abs(np.angle(np.asarray(eigs) / mu))) < 1e-3:
                 continue
-            if _eigen_criterion(frame0, c, lam).is_eigenvalue:
+            if _boundary_criteria(frame0, c, lam).eigen:
                 disagreements += 1
     results.append(_result("eigenvalue_criterion_agreement", disagreements == 0, f"{disagreements} disagreements"))
 

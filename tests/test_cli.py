@@ -128,6 +128,18 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["zeta"] == "INF"
 
+    @pytest.mark.parametrize("zeta", [["1e200", "0"], ["1e200", "1e200"], ["1.7e308", "1.7e308"]])
+    def test_defect_at_huge_zeta(self, tmp_path, capsys, zeta):
+        """M_zeta is one-dimensional for every |zeta| != 1, also where the
+        squares of the spanning column overflow."""
+        path = write_scenario(tmp_path, e1_scenario())
+        assert main([path, "defect", "--zeta", *zeta]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["dim_m"] == 1 and out["dim_n"] == 1
+        assert out["regular_type_at_point"]["is_regular"] is True
+        assert captured.err == ""
+
     def test_resolvent_point(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario())
         code = main([path, "resolvent", "--zeta", "0.5", "0"])
@@ -183,6 +195,26 @@ class TestCommands:
         assert out["verdict"] == "NOT_CERTIFIED"
         bad = [s for s in out["samples"] if s["failures"]]
         assert bad and bad[0]["failures"] == ["condition-3"]
+
+    def test_gap_scan_table_family(self, tmp_path, capsys):
+        """A table whose points are exactly the scan's samples parses and is
+        certified with --continuity-bound; without the bound it is an input
+        error."""
+        arc, samples = (math.pi / 4, 3 * math.pi / 4), 9
+        step = (arc[1] - arc[0]) / (samples + 1)
+        points = []
+        for j in range(samples):
+            lam = np.exp(1j * (arc[0] + (j + 1) * step))
+            value = np.exp(0.05j * j)
+            points.append({"zeta": [lam.real, lam.imag], "matrix": [[[value.real, value.imag]]]})
+        path = write_scenario(tmp_path, e1_scenario(family={"kind": "table", "points": points}))
+        argv = [path, "gap-scan", "--arc", str(arc[0]), str(arc[1]), "--samples", str(samples)]
+        assert main([*argv, "--continuity-bound", "0.1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "GAP_CERTIFIED"
+        assert out["continuity_certification"] == "sampled-modulus"
+        assert main(argv) == 1
+        assert "continuity bound" in capsys.readouterr().err
 
     def test_verify_passes_and_is_deterministic(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario())
@@ -240,6 +272,7 @@ class TestCommands:
             (["gap-scan", "--arc", "0.5", "inf"], "--arc"),
             (["gap-scan", "--arc", "0.5", "1", "--continuity-bound", "nan"], "--continuity-bound"),
             (["gap-scan", "--arc", "0.5", "1", "--continuity-bound", "inf"], "--continuity-bound"),
+            (["defect", "--zeta", "5e-324", "5e-324"], "--zeta"),
         ],
     )
     def test_non_finite_argument_is_an_input_error(self, tmp_path, capsys, command, flag):
@@ -258,6 +291,24 @@ class TestCommands:
         assert main([path, "defect", "--out", str(out_path)]) == 1
         assert "non-finite" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, out, taken",
+        [
+            (["defect"], "missing/report.json", None),
+            (["resolvent", "--grid", "2"], "missing/report.json", None),
+            (["resolvent", "--grid", "2"], "report.json", "report.json.csv"),
+        ],
+    )
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, command, out, taken):
+        """--out into a missing directory, or a --grid CSV path taken by a
+        directory: exit 1 with one error line."""
+        path = write_scenario(tmp_path, e1_scenario())
+        if taken:
+            (tmp_path / taken).mkdir()
+        assert main([path, *command, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         assert main(["/nonexistent/scenario.json", "defect"]) == 1

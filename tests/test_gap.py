@@ -102,6 +102,15 @@ class TestEigenCriterion:
         res = eigen_criterion(e1, defect_parameter(e1, 0.0, [[1.0]]), 1j)
         assert not res.is_eigenvalue
 
+    def test_parameter_of_another_operator_rejected(self, e1):
+        # A 1 x 1 parameter of e1 against the 2-dimensional defect spaces of
+        # V e1 = e2 in C^3: both criteria name the mismatch.
+        v = IsometricOperator(3, [[1], [0], [0]], [[0], [1], [0]])
+        c = defect_parameter(e1, 0.0, [[-1.0]])
+        for criterion in (eigen_criterion, surjectivity_criterion):
+            with pytest.raises(ValueError, match="parameter source"):
+                criterion(v, c, 1j)
+
     def test_agreement_with_direct_eigensolve(self, rng):
         for _ in range(40):
             v = random_isometry(rng, n_max=7)
@@ -226,6 +235,26 @@ class TestArcScan:
         sparse = table_family([(np.exp(1j * angles[0]), c)], 0.0)
         with pytest.raises(FamilyEvaluationError):
             arc_scan(e1, sparse, arc, 0.0, 9, continuity_bound=0.5)
+
+    def test_samples_equal_the_standalone_criterion(self):
+        # Each sample carries exactly the verdicts and singular values that
+        # surjectivity_criterion reports at its point.
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(30):
+            v = random_isometry(rng, n_max=6)
+            c = random_unitary_parameter(rng, v)
+            try:
+                report = arc_scan(v, constant_family(c, 0.0), (0.3, 2.9), 0.0, 8)
+            except PreconditionViolated:
+                continue
+            for s in report.samples:
+                rep = surjectivity_criterion(v, c, s.point)
+                assert (s.cond3_link, s.cond3_direct, s.cond_pm, s.sigma_cw, s.sigma_direct) == (
+                    rep.surjective, rep.crosscheck_rank, rep.cond_pm, rep.sigma_cw, rep.sigma_direct
+                )
+                compared += 1
+        assert compared >= 200
 
     def test_spectral_crosscheck_for_constant_unitary(self, e1, rng):
         # For constant unitary parameters the scan verdict must match the

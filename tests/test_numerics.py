@@ -55,6 +55,12 @@ class TestOrthonormalize:
         s = orthonormalize([[0, 0, size], [0, size, size]])
         assert_allclose(s.basis, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
 
+    @pytest.mark.parametrize("size", [1.4e154, 1e200, 1.7e308])
+    def test_huge_vector_normalized(self, size):
+        # Squares of these entries overflow the float range.
+        s = orthonormalize([[0, 0, size], [0, size, size]])
+        assert_allclose(s.basis, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             orthonormalize([[1, 0], [1, 0, 0]])
