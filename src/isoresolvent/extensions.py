@@ -32,6 +32,7 @@ from .numerics import (
     SingularOperator,
     Subspace,
     TolerancePolicy,
+    _TOL_CAP,
     as_matrix,
     guarded_inverse,
     identity,
@@ -89,7 +90,7 @@ class ContractionOp:
             raise ValueError(
                 f"matrix shape {m.shape} does not match (dst {self.dst.dim}, src {self.src.dim})"
             )
-        if operator_norm(m) > 1.0 + 1e-3:
+        if operator_norm(m) > 1.0 + _TOL_CAP:
             raise ValueError("matrix is not a contraction")
 
     def ambient(self) -> np.ndarray:
@@ -204,7 +205,7 @@ class ExtensionOp:
         object.__setattr__(self, "z0", complex(self.z0))
         if self.flavor not in ("plus", "orthogonal"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if operator_norm(self.matrix) > 1.0 + 1e-3:
+        if operator_norm(self.matrix) > 1.0 + _TOL_CAP:
             raise ValueError("extension is not a contraction")
 
 

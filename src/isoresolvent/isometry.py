@@ -24,6 +24,7 @@ from .numerics import (
     TolerancePolicy,
     _LIFT,
     _SQRT_HUGE,
+    _TOL_CAP,
     _mgs,
     max_abs,
     orthogonal_complement,
@@ -107,9 +108,9 @@ class IsometricOperator:
         if d > n:
             raise ValueError("domain dimension exceeds ambient dimension")
         if d:
-            if max_abs(dom.conj().T @ dom - np.eye(d)) > 1e-3:
+            if max_abs(dom.conj().T @ dom - np.eye(d)) > _TOL_CAP:
                 raise ValueError("domain basis is not orthonormal")
-            if max_abs(img.conj().T @ img - np.eye(d)) > 1e-3:
+            if max_abs(img.conj().T @ img - np.eye(d)) > _TOL_CAP:
                 raise ValueError("images are not isometric (Gram defect)")
 
     @property
@@ -148,17 +149,16 @@ class RegularType(NamedTuple):
 def defect_spaces(v: IsometricOperator, zeta, tol: TolerancePolicy = DEFAULT_TOL) -> DefectPair:
     """Defect pair of V at zeta (any complex point, or INF for the range pair).
 
-    The basis of m is produced by the deterministic orthonormalizer from the
-    columns (domain - zeta * image), so it is canonical per (v, zeta).
+    One factorization of the columns (domain - zeta * image) by the
+    deterministic orthonormalizer gives both bases, canonical per (v, zeta).
     """
     if is_inf_point(zeta):
         cols = v.image_basis
     else:
         cols = v.domain_basis - complex(zeta) * v.image_basis
-    q, _, _ = _mgs(cols, tol.eps_rank)
-    m = Subspace(v.ambient_dim, q)
-    n = orthogonal_complement(m, tol)
-    return DefectPair(m, n, zeta)
+    q, _, kept = _mgs(cols, tol.eps_rank)
+    k = len(kept)
+    return DefectPair(Subspace(v.ambient_dim, q[:, :k]), Subspace(v.ambient_dim, q[:, k:]), zeta)
 
 
 def regular_type(v: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) -> RegularType:

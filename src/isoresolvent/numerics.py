@@ -6,9 +6,13 @@ compared entrywise (max-abs), subspaces through principal angles.  The rank,
 equality and unitarity cutoffs live in a single :class:`TolerancePolicy`
 that callers thread through explicitly; there is no hidden global state.
 
-Basis construction is deliberately deterministic: modified Gram-Schmidt with
-the input order as pivot order, so that every derived basis (defect spaces,
-Cayley domains, complements) is reproducible bit-for-bit for a fixed input.
+Basis construction is deliberately deterministic: every basis (defect
+spaces, Cayley domains, complements) comes from one Householder QR,
+:func:`_mgs`.  Input order is pivot order; a column is dropped when its
+residual against the kept columns before it is at most ``eps_rank`` times its
+norm; the leading columns are the Gram-Schmidt basis of the kept ones, the
+trailing ones the complement, each rotated so its first significant entry is
+real positive.
 """
 
 from __future__ import annotations
@@ -136,57 +140,71 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 _SQRT_HUGE = math.sqrt(np.finfo(float).max)
 _LIFT = 2.0**600
 
+# A complement column's first entry above this fraction of its largest is made
+# real positive.  This fixes the phase of every complement basis, in which
+# scenario matrices are written, so it is a convention, not a policy cutoff.
+_PHASE_LEAD = 1e-8
+
+
+def _scaled(a: np.ndarray, exps) -> np.ndarray:
+    """C-ordered ``a`` with column j times 2**exps[j]: exact, part by part."""
+    return np.ldexp(a.view(float), np.repeat(exps, 2)).view(complex)
+
 
 def _mgs(columns: np.ndarray, eps_rank: float):
-    """Modified Gram-Schmidt over ``columns`` in input order.
+    """Householder QR of ``columns`` in input order, completed to a unitary.
 
-    Returns ``(q, coeffs, kept)`` with ``columns[:, kept] = q @ coeffs[:, kept]``
-    up to roundoff; columns whose residual drops below ``eps_rank`` relative
-    to their norm are dropped.  A second orthogonalization pass keeps the
-    output orthonormal to machine precision.
+    Returns ``(q, r, kept)`` with ``columns[:, kept] = q[:, :k] @ r``,
+    k = len(kept) and ``r`` upper triangular with a positive diagonal, so
+    ``q[:, :k]`` is the Gram-Schmidt basis of the kept columns; ``q[:, k:]``
+    is the complement after :func:`_phase_fix`.  A column is dropped when its
+    residual against the kept columns before it is at most ``eps_rank``
+    times its own norm.
     """
-    columns = np.asarray(columns, dtype=complex)
-    n, m = columns.shape
-    buf = np.zeros((n, m), dtype=complex)
-    coeffs = np.zeros((m, m), dtype=complex)
-    kept: list[int] = []
-    k = 0
-    for j in range(m):
-        w = columns[:, j].astype(complex, copy=True)
-        scale = math.sqrt(np.vdot(w, w).real)
-        lift = 1.0
-        # The squares of such a column leave the normal range, losing their
-        # digits or overflowing: work on an exact power-of-two multiple.
-        if scale < _SQRT_TINY:
-            lift = _LIFT
-        elif not scale < _SQRT_HUGE:
-            lift = 1.0 / _LIFT
-        if lift != 1.0:
-            w *= lift
-            scale = math.sqrt(np.vdot(w, w).real)
-        for _ in range(2):
-            if k:
-                r = buf[:, :k].conj().T @ w
-                coeffs[:k, j] += r
-                w -= buf[:, :k] @ r
-        nrm = math.sqrt(np.vdot(w, w).real)
-        if lift != 1.0:
-            coeffs[:k, j] /= lift
-        if scale == 0.0 or nrm <= eps_rank * scale:
-            continue
-        coeffs[k, j] = nrm / lift
-        kept.append(j)
-        buf[:, k] = w / nrm
-        k += 1
-    return buf[:, :k].copy(), coeffs[:k, :], kept
-
-
-def _mgs_qr(columns: np.ndarray, eps_rank: float):
-    """Gram-Schmidt QR for full-column-rank input; raises on rank loss."""
-    q, r, kept = _mgs(columns, eps_rank)
-    if len(kept) != columns.shape[1]:
-        raise SingularOperator(0.0, "rank-deficient columns in QR step")
-    return q, r
+    a = np.ascontiguousarray(columns, dtype=complex)
+    n, m = a.shape
+    if not m:
+        return identity(n), np.zeros((0, 0), dtype=complex), []
+    # Largest real or imaginary part of each column (|z| itself may overflow).
+    big = np.maximum.reduce(np.abs(a.view(float)), axis=0, initial=0.0).reshape(m, 2).max(axis=1)
+    lift = None
+    if np.minimum.reduce(big) < _SQRT_TINY or np.maximum.reduce(big) >= _SQRT_HUGE:
+        # The squares of a column whose largest part lies outside
+        # [sqrt(tiny), sqrt(huge)] leave the normal range, losing their
+        # digits or overflowing: factor it times an exact power of two.
+        lift = np.where((big < _SQRT_TINY) | (big >= _SQRT_HUGE), -np.frexp(big)[1], 0)
+        a = _scaled(a, lift)
+    # Column norms by hypot, which neither overflows nor underflows.
+    norms = np.hypot.reduce(a.view(float).reshape(n, m, 2), axis=0, initial=0.0)
+    norms = np.hypot(norms[:, 0], norms[:, 1])
+    keep = norms.nonzero()[0]
+    while keep.size:
+        qr, tau, _, _ = scipy.linalg.lapack.zgeqrf(a if keep.size == m else a[:, keep])
+        k = min(n, keep.size)
+        resid = np.abs(qr.diagonal()[:k])
+        low = resid <= eps_rank * norms[keep[:k]]
+        if not low.any():
+            break
+        # Rank-deficient input: factor again without the first dependent column.
+        keep = np.delete(keep, low.argmax())
+    # Past n kept columns the rest lie in their span.
+    keep = keep[:n]
+    k = keep.size
+    if not k:
+        return identity(n), np.zeros((0, 0), dtype=complex), []
+    phase = qr.diagonal()[:k] / resid
+    upper = np.arange(k)[:, None] <= np.arange(k)
+    r = qr[:k, :k] * (upper * phase.conj()[:, None])
+    if lift is not None:
+        # The R of a column whose norm exceeds the float range reads inf.
+        with np.errstate(over="ignore"):
+            r = _scaled(r, -lift[keep])
+    h = np.zeros((n, n), dtype=complex, order="F")
+    h[:, :k] = qr[:, :k]
+    q, _, _ = scipy.linalg.lapack.zungqr(h, tau[:k], overwrite_a=True)
+    q[:, :k] *= phase
+    q[:, k:] = _phase_fix(q[:, k:])
+    return q, r, keep.tolist()
 
 
 @dataclass(frozen=True)
@@ -229,16 +247,12 @@ class Subspace:
     def full(cls, n: int) -> "Subspace":
         return cls(n, identity(n))
 
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, np.zeros((n, 0), dtype=complex))
-
 
 def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Span of the given ambient vectors as a Subspace.
 
-    Deterministic for a fixed input order (modified Gram-Schmidt, input
-    order is pivot order); linearly dependent inputs are dropped.
+    The leading part of :func:`_mgs`: the Gram-Schmidt basis of the inputs in
+    input order, with those dependent on the ones before them dropped.
     """
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not cols:
@@ -250,50 +264,29 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     mat = np.column_stack(cols)
     if mat.size and not np.all(np.isfinite(mat)):
         raise ValueError("vector entries must be finite")
-    q, _, _ = _mgs(mat, tol.eps_rank)
-    return Subspace(n, q)
+    q, _, kept = _mgs(mat, tol.eps_rank)
+    return Subspace(n, q[:, : len(kept)])
 
 
 def _phase_fix(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive.
+    """Rotate each (nonzero) column so its first significant entry is real positive.
 
     Strips the arbitrary unitary phases a QR completion carries, making
     canonical bases predictable (and parameter matrices human-readable)."""
-    out = columns.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max() if mags.size else 0.0
-        if top == 0.0:
-            continue
-        lead = int(np.argmax(mags > 1e-8 * top))
-        phase = col[lead] / abs(col[lead])
-        out[:, j] = col / phase
-    return out
+    mags = np.abs(columns)
+    lead = (mags > _PHASE_LEAD * np.maximum.reduce(mags, axis=0)).argmax(axis=0)
+    pick = lead, np.arange(columns.shape[1])
+    return columns / (columns[pick] / mags[pick])
 
 
 def orthogonal_complement(s: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement, dim = ambient_dim - dim(s).
 
-    Built from the unitary completion of the basis (one complete QR, then a
-    deterministic phase normalization), so the result is canonical for a
-    fixed basis matrix.
+    The trailing part of :func:`_mgs` of the basis: its unitary completion
+    with phases normalized, canonical for a fixed basis matrix.
     """
-    n = s.ambient_dim
-    if s.dim == 0:
-        return Subspace.full(n)
-    if s.dim == n:
-        return Subspace.zero(n)
-    q, _ = np.linalg.qr(s.basis, mode="complete")
-    comp = q[:, s.dim :]
-    # The completion is orthogonal to the raw QR factor; re-project once so
-    # it is orthogonal to the stored basis itself at machine precision.
-    comp = comp - s.basis @ (s.basis.conj().T @ comp)
-    if comp.shape[1] != n - s.dim:
-        raise ArithmeticError(
-            f"complement construction produced dim {comp.shape[1]}, expected {n - s.dim}"
-        )
-    return Subspace(n, _phase_fix(comp))
+    q, _, _ = _mgs(s.basis, tol.eps_rank)
+    return Subspace(s.ambient_dim, q[:, s.dim :])
 
 
 def projector(s: Subspace) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .isometry import IsometricOperator, regular_type
-from .numerics import DEFAULT_TOL, TolerancePolicy, _mgs_qr, as_matrix, identity
+from .numerics import DEFAULT_TOL, SingularOperator, TolerancePolicy, _mgs, as_matrix, identity
 
 __all__ = [
     "MoebiusMap",
@@ -83,11 +83,11 @@ def cayley(v: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) -> Isome
         raise ValueError("transform point must lie inside the unit disk")
     a = v.domain_basis - z * v.image_basis
     b = v.image_basis - z.conjugate() * v.domain_basis
-    if v.domain_dim == 0:
-        return IsometricOperator(v.ambient_dim, a, b)
-    q, r = _mgs_qr(a, tol.eps_rank)
+    q, r, kept = _mgs(a, tol.eps_rank)
+    if len(kept) != v.domain_dim:
+        raise SingularOperator(0.0, "rank-deficient columns in QR step")
     images = b @ np.linalg.inv(r)
-    return IsometricOperator(v.ambient_dim, q, images)
+    return IsometricOperator(v.ambient_dim, q[:, : v.domain_dim], images)
 
 
 def inverse_cayley(w: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) -> IsometricOperator:

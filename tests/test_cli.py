@@ -230,6 +230,16 @@ class TestCommands:
         assert code == 0
         assert first == second
 
+    def test_verify_table_family(self, tmp_path, capsys):
+        """A table has no value at 0, where the resolvent is E for every
+        parameter value; verify still passes on it."""
+        lam = np.exp(0.25j * math.pi)
+        points = [{"zeta": [lam.real, lam.imag], "matrix": [[[1.0, 0.0]]]}]
+        path = write_scenario(tmp_path, e1_scenario(family={"kind": "table", "points": points}))
+        assert main([path, "verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["all_passed"] is True
+
     def test_verify_rejects_bad_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario(c=1.2))
         assert main([path, "verify"]) == 1

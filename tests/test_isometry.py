@@ -186,3 +186,67 @@ class TestReflectedPoint:
     def test_circle_inverse(self):
         assert abs(reflected_point(0.5j) - 2j) <= 1e-15
         assert abs(reflected_point(0.5) - 2.0) <= 1e-15
+
+
+# V e1 = (mu e1 + mu e2 + e3 + i e4) / 2 and V e2 = (mu e1 + mu e2 - e3 - i e4) / 2
+# with mu = exp(i pi / 3), so V (e1 + e2) = mu (e1 + e2) and E - conj(mu) V
+# loses rank on D(V).  Scenario parameter matrices are written in the
+# canonical defect bases, so their entries are pinned here, not only their
+# spans.
+_MU = complex(0.5, math.sqrt(3) / 2)
+_PINNED_V = IsometricOperator(
+    4,
+    np.eye(4, dtype=complex)[:, :2],
+    [[_MU / 2, _MU / 2], [_MU / 2, _MU / 2], [0.5, -0.5], [0.5j, -0.5j]],
+)
+_R3 = math.sqrt(3) / 4
+_PINNED_BASES = {
+    "zero": (
+        0j,
+        [[1, 0], [0, 1], [0, 0], [0, 0]],
+        [[0, 0], [0, 0], [1, 0], [0, 1]],
+    ),
+    "interior": (
+        0.3 + 0.1j,
+        [
+            [0.9510522276120577 - 0.15214439827925216j, 0.02708193608330601 - 0.16175217374063836j],
+            [-0.031134057681368094 - 0.15214439827925216j, 0.9509281998974319 - 0.16175217374063836j],
+            [-0.14732794279401384 - 0.049109314264671286j, 0.1385769395721189 + 0.0461923131907063j],
+            [0.049109314264671286 - 0.14732794279401384j, -0.0461923131907063 + 0.1385769395721189j],
+        ],
+        [
+            [0.15075567228888181, 0.15075567228888181],
+            [-0.15075567228888181, -0.15075567228888181],
+            [0.9266089500056036 + 0.30886870295364416j, -0.02207491627231278 - 0.007357358375880591j],
+            [0.007357358375880589 - 0.022074916272312776j, -0.3088687029536441 + 0.9266089500056036j],
+        ],
+    ),
+    "inf": (
+        INF,
+        [[_MU / 2, _MU / 2], [_MU / 2, _MU / 2], [0.5, -0.5], [0.5j, -0.5j]],
+        [[0.5, 0.5], [-0.5, -0.5], [-0.5, 0.5], [0.5j, -0.5j]],
+    ),
+    "boundary": (
+        _MU.conjugate(),
+        [[0.5], [-0.5], [-0.25 + _R3 * 1j], [-_R3 - 0.25j]],
+        [
+            [0.5, 0.5, 0.5],
+            [0.8333333333333334, -0.16666666666666666, -0.16666666666666666],
+            [-0.08333333333333336 + 0.14433756729740643j, 0.41666666666666674 - 0.721687836487032j,
+             -0.08333333333333333 + 0.14433756729740646j],
+            [-0.14433756729740643 - 0.08333333333333336j, -0.14433756729740643 - 0.08333333333333334j,
+             0.721687836487032 + 0.4166666666666668j],
+        ],
+    ),
+}
+
+
+class TestPinnedCanonicalBases:
+    @pytest.mark.parametrize("point", sorted(_PINNED_BASES))
+    def test_entries(self, point):
+        zeta, m_basis, n_basis = _PINNED_BASES[point]
+        pair = defect_spaces(_PINNED_V, zeta)
+        assert pair.m.basis.shape == np.shape(m_basis)
+        assert pair.n.basis.shape == np.shape(n_basis)
+        assert_allclose(pair.m.basis, m_basis, rtol=0, atol=1e-12)
+        assert_allclose(pair.n.basis, n_basis, rtol=0, atol=1e-12)

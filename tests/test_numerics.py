@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -34,6 +34,39 @@ class TestTolerancePolicy:
             TolerancePolicy(eps_rank=bad)
 
 
+def gram_schmidt(columns: np.ndarray, eps_rank: float = DEFAULT_TOL.eps_rank) -> np.ndarray:
+    """Reference basis: Gram-Schmidt in input order, each column orthogonalized
+    twice, dropped when its residual is at most eps_rank times its norm."""
+    basis = []
+    for col in columns.T:
+        w = col.copy()
+        for _ in range(2):
+            for q in basis:
+                w = w - np.vdot(q, w) * q
+        if np.linalg.norm(w) > eps_rank * np.linalg.norm(col):
+            basis.append(w / np.linalg.norm(w))
+    return np.column_stack(basis) if basis else np.zeros((columns.shape[0], 0), dtype=complex)
+
+
+@st.composite
+def column_sets(draw):
+    """(columns, rank): well-conditioned Gaussian columns and, at drawn
+    places, random combinations of the columns before them."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, independent = [], []
+    for dependent in draw(st.lists(st.booleans(), min_size=1, max_size=10)):
+        if columns and (dependent or len(independent) == n):
+            weights = rng.standard_normal(len(columns)) + 1j * rng.standard_normal(len(columns))
+            columns.append(np.column_stack(columns) @ weights)
+        else:
+            independent.append(len(columns))
+            columns.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    mat = np.column_stack(columns)
+    assume(np.linalg.cond(mat[:, independent]) < 1e3)
+    return mat, len(independent)
+
+
 class TestOrthonormalize:
     def test_already_orthonormal(self):
         s = orthonormalize([[1, 0], [0, 1]])
@@ -60,6 +93,21 @@ class TestOrthonormalize:
         # Squares of these entries overflow the float range.
         s = orthonormalize([[0, 0, size], [0, size, size]])
         assert_allclose(s.basis, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(column_sets())
+    def test_matches_reference_gram_schmidt(self, drawn):
+        columns, rank = drawn
+        s = orthonormalize([columns[:, j] for j in range(columns.shape[1])])
+        ref = gram_schmidt(columns)
+        assert s.dim == ref.shape[1] == rank
+        assert max_abs(s.basis - ref) <= 1e-12
+
+    def test_non_adjacent_dependent_column_dropped(self, rng):
+        a, b, c = (rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3))
+        s = orthonormalize([a, b, a + b, c])
+        assert s.dim == 3
+        assert max_abs(s.basis - orthonormalize([a, b, c]).basis) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
