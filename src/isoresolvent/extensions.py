@@ -104,8 +104,8 @@ def defect_parameter(
     v: IsometricOperator, z0, matrix, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ContractionOp:
     """Contraction N_{z0} -> N_{1/conj(z0)} in the canonical defect bases."""
-    src = defect_spaces(v, z0, tol).n
-    dst = defect_spaces(v, reflected_point(z0), tol).n
+    frame = DefectFrame(v, z0, tol)
+    src, dst = frame.src, frame.dst
     return ContractionOp(src, dst, as_matrix(matrix) if np.size(matrix) else np.zeros((dst.dim, src.dim), dtype=complex))
 
 
@@ -273,8 +273,7 @@ class DefectFrame:
 
     @cached_property
     def transform_matrix(self) -> np.ndarray:
-        w = self.transform
-        return w.image_basis @ w.domain_basis.conj().T
+        return self.transform.partial_matrix()
 
     def space_violations(self, op, what: str = "parameter") -> list[str]:
         """Why ``op`` (a ContractionOp or ParameterFamily) does not act from

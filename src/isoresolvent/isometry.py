@@ -151,12 +151,17 @@ def defect_spaces(v: IsometricOperator, zeta, tol: TolerancePolicy = DEFAULT_TOL
 
     One factorization of the columns (domain - zeta * image) by the
     deterministic orthonormalizer gives both bases, canonical per (v, zeta).
+    A column is judged against the size of its two terms, max(1, |zeta|)
+    (taken part by part, which cannot overflow), so one that cancels to
+    roundoff is dropped even when no kept column precedes it.
     """
     if is_inf_point(zeta):
-        cols = v.image_basis
+        cols, scale = v.image_basis, 1.0
     else:
-        cols = v.domain_basis - complex(zeta) * v.image_basis
-    q, _, kept = _mgs(cols, tol.eps_rank)
+        z = complex(zeta)
+        cols = v.domain_basis - z * v.image_basis
+        scale = max(1.0, abs(z.real), abs(z.imag))
+    q, _, kept = _mgs(cols, tol.eps_rank, scale)
     k = len(kept)
     return DefectPair(Subspace(v.ambient_dim, q[:, :k]), Subspace(v.ambient_dim, q[:, k:]), zeta)
 

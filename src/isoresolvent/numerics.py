@@ -10,9 +10,13 @@ Basis construction is deliberately deterministic: every basis (defect
 spaces, Cayley domains, complements) comes from one Householder QR,
 :func:`_mgs`.  Input order is pivot order; a column is dropped when its
 residual against the kept columns before it is at most ``eps_rank`` times its
-norm; the leading columns are the Gram-Schmidt basis of the kept ones, the
-trailing ones the complement, each rotated so its first significant entry is
-real positive.
+norm (or a larger reference scale its caller passes); the leading columns
+are the Gram-Schmidt basis of the kept ones, the trailing ones the
+complement, each rotated so its first significant entry is real positive.
+
+numpy is the only dependency: the QR runs LAPACK's ``zgeqrf``/``zungqr``
+through ``numpy.linalg.lapack_lite``, and spectra come from one Hermitian
+eigensolve (:func:`unitary_eig`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "TolerancePolicy",
@@ -140,6 +144,10 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 _SQRT_HUGE = math.sqrt(np.finfo(float).max)
 _LIFT = 2.0**600
 
+# Workspace per column for zgeqrf/zungqr.  Their optimum is LAPACK's block
+# size (32) per column; twice that spares a workspace query per call.
+_LWORK_PER_COL = 64
+
 # A complement column's first entry above this fraction of its largest is made
 # real positive.  This fixes the phase of every complement basis, in which
 # scenario matrices are written, so it is a convention, not a policy cutoff.
@@ -151,7 +159,7 @@ def _scaled(a: np.ndarray, exps) -> np.ndarray:
     return np.ldexp(a.view(float), np.repeat(exps, 2)).view(complex)
 
 
-def _mgs(columns: np.ndarray, eps_rank: float):
+def _mgs(columns: np.ndarray, eps_rank: float, scale: float = 0.0):
     """Householder QR of ``columns`` in input order, completed to a unitary.
 
     Returns ``(q, r, kept)`` with ``columns[:, kept] = q[:, :k] @ r``,
@@ -159,7 +167,8 @@ def _mgs(columns: np.ndarray, eps_rank: float):
     ``q[:, :k]`` is the Gram-Schmidt basis of the kept columns; ``q[:, k:]``
     is the complement after :func:`_phase_fix`.  A column is dropped when its
     residual against the kept columns before it is at most ``eps_rank``
-    times its own norm.
+    times the larger of its own norm and ``scale``, the magnitude the caller
+    measures roundoff against (0: the column's own norm alone).
     """
     a = np.ascontiguousarray(columns, dtype=complex)
     n, m = a.shape
@@ -177,12 +186,23 @@ def _mgs(columns: np.ndarray, eps_rank: float):
     # Column norms by hypot, which neither overflows nor underflows.
     norms = np.hypot.reduce(a.view(float).reshape(n, m, 2), axis=0, initial=0.0)
     norms = np.hypot(norms[:, 0], norms[:, 1])
+    ref = norms
+    if scale:
+        # The scale of a lifted column is lifted with it; past the float
+        # range it reads inf, and the column is roundoff at that scale.
+        with np.errstate(over="ignore"):
+            ref = np.maximum(norms, scale if lift is None else np.ldexp(scale, lift))
+    work = np.empty(_LWORK_PER_COL * max(n, m), dtype=complex)
     keep = norms.nonzero()[0]
     while keep.size:
-        qr, tau, _, _ = scipy.linalg.lapack.zgeqrf(a if keep.size == m else a[:, keep])
+        # LAPACK reads this C-ordered transpose as the Fortran-ordered columns.
+        f = a.T[keep]
         k = min(n, keep.size)
+        tau = np.empty(k, dtype=complex)
+        lapack_lite.zgeqrf(n, keep.size, f, n, tau, work, work.size, 0)
+        qr = f.T
         resid = np.abs(qr.diagonal()[:k])
-        low = resid <= eps_rank * norms[keep[:k]]
+        low = resid <= eps_rank * ref[keep[:k]]
         if not low.any():
             break
         # Rank-deficient input: factor again without the first dependent column.
@@ -199,9 +219,10 @@ def _mgs(columns: np.ndarray, eps_rank: float):
         # The R of a column whose norm exceeds the float range reads inf.
         with np.errstate(over="ignore"):
             r = _scaled(r, -lift[keep])
-    h = np.zeros((n, n), dtype=complex, order="F")
-    h[:, :k] = qr[:, :k]
-    q, _, _ = scipy.linalg.lapack.zungqr(h, tau[:k], overwrite_a=True)
+    h = np.zeros((n, n), dtype=complex)
+    h[:k] = f[:k]
+    lapack_lite.zungqr(n, n, k, h, n, tau, work, work.size, 0)
+    q = h.T
     q[:, :k] *= phase
     q[:, k:] = _phase_fix(q[:, k:])
     return q, r, keep.tolist()
@@ -302,6 +323,11 @@ def subspace_gap(s1: Subspace, s2: Subspace) -> float:
     return operator_norm(projector(s1) - projector(s2))
 
 
+# The alphas of :func:`unitary_eig`.  They are transcendental, so no two
+# eigenvalue angles that are rational multiples of pi ever meet.
+_SPLIT = (1.0 / math.pi, math.e / 2.0, 1.0 / math.e)
+
+
 @dataclass(frozen=True)
 class SpectralAtom:
     """One point of a finite unitary spectral measure."""
@@ -335,9 +361,12 @@ class UnitarySpectralData:
 def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
     """Spectral measure of a unitary matrix.
 
-    Uses a complex Schur decomposition so the spectral projectors are built
-    from exactly orthonormal columns.  Eigenvalues closer than ``eps_rank``
-    in angle (including across the 0 / 2*pi seam) are merged into one atom.
+    A = (U + U^H)/2 and B = (U - U^H)/(2i) commute, so the exactly
+    orthonormal eigenbasis of A + alpha*B is one of U unless two angles meet
+    there (t1 + t2 = 2 atan(alpha)); then ||U Z - Z diag|| exceeds
+    ``eps_unit`` and the next alpha is tried.  Eigenvalues closer than
+    ``eps_rank`` in angle (including across the 0 / 2*pi seam) are merged
+    into one atom.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -347,25 +376,24 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
         return UnitarySpectralData(0, ())
     if max_abs(u.conj().T @ u - identity(n)) > tol.eps_unit:
         raise NonUnitaryOperator("input is not unitary within eps_unit")
-    t, z = scipy.linalg.schur(u, output="complex")
-    eigs = np.diag(t)
+    for alpha in _SPLIT:
+        w = (1.0 - 1j * alpha) * u
+        _, z = np.linalg.eigh(w + w.conj().T)
+        uz = u @ z
+        eigs = np.einsum("ij,ij->j", z.conj(), uz)
+        if max_abs(uz - z * eigs) <= tol.eps_unit:
+            break
+    else:
+        raise np.linalg.LinAlgError("no splitting constant separates the eigenvalues of the unitary")
     angles = np.mod(np.angle(eigs), TWO_PI)
     order = np.argsort(angles, kind="stable")
-
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and angles[idx] - angles[clusters[-1][-1]] <= tol.eps_rank:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    if len(clusters) > 1:
-        first, last = clusters[0], clusters[-1]
-        if angles[first[0]] + TWO_PI - angles[last[-1]] <= tol.eps_rank:
-            clusters[0] = last + first
-            clusters.pop()
-
+    # Gaps to the next angle, the last one across the seam; a cluster ends at
+    # each gap above eps_rank, and one cluster may run over the seam.
+    gaps = np.diff(angles[order], append=angles[order[0]] + TWO_PI)
+    ends = np.flatnonzero(gaps > tol.eps_rank)
+    start = ends[-1] + 1 if ends.size else n
     atoms = []
-    for members in clusters:
+    for members in np.split(np.roll(order, -start), ends[:-1] + 1 + n - start):
         cols = z[:, members]
         proj = cols @ cols.conj().T
         mean = complex(np.sum(eigs[members]))

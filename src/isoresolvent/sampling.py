@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .extensions import ContractionOp
-from .isometry import IsometricOperator, defect_spaces, reflected_point, regular_type
+from .extensions import ContractionOp, DefectFrame
+from .isometry import IsometricOperator, regular_type
 from .numerics import DEFAULT_TOL, TolerancePolicy, operator_norm
 
 __all__ = [
@@ -80,8 +80,8 @@ def random_parameter(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> ContractionOp:
     """Random contraction parameter between the canonical defect spaces of v."""
-    src = defect_spaces(v, z0, tol).n
-    dst = defect_spaces(v, reflected_point(z0), tol).n
+    frame = DefectFrame(v, z0, tol)
+    src, dst = frame.src, frame.dst
     if unitary:
         if src.dim != dst.dim:
             raise ValueError("unitary parameter needs equal defect dimensions")

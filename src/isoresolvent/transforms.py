@@ -37,7 +37,7 @@ class MoebiusMap:
 
     def __post_init__(self):
         object.__setattr__(self, "z0", complex(self.z0))
-        if abs(self.z0) >= 1.0 - DEFAULT_TOL.eps_unit:
+        if abs(self.z0) >= 1.0:
             raise ValueError("base point must lie strictly inside the unit disk")
 
     def forward(self, u) -> complex:

@@ -77,6 +77,16 @@ class TestDefectSpaces:
             pair = defect_spaces(v, z)
             assert pair.m.dim == v.domain_dim
 
+    def test_roundoff_column_dropped_at_eigenvalue_point(self):
+        # V e1 = mu e1: at zeta = 1/mu the only column, e1 - zeta mu e1, is
+        # roundoff, although no kept column precedes it.
+        mu = complex(math.cos(0.3), math.sin(0.3))
+        v = IsometricOperator(2, [[1], [0]], [[mu], [0]])
+        assert regular_type(v, mu).sigma_min == 0.0
+        pair = defect_spaces(v, 1 / mu)
+        assert pair.m.dim == 0
+        assert pair.n.dim == 2
+
     def test_deterministic_bases(self, e1):
         a = defect_spaces(e1, 0.3 + 0.1j)
         b = defect_spaces(e1, 0.3 + 0.1j)

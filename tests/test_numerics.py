@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import isoresolvent
 from isoresolvent import (
     DEFAULT_TOL,
     NonUnitaryOperator,
@@ -19,7 +23,7 @@ from isoresolvent import (
     subspace_gap,
     unitary_eig,
 )
-from isoresolvent.numerics import TolerancePolicy, sigma_min
+from isoresolvent.numerics import _SPLIT, TolerancePolicy, sigma_min
 
 
 class TestTolerancePolicy:
@@ -190,6 +194,21 @@ class TestComplementAndProjector:
         assert max_abs(projector(s) + projector(comp) - np.eye(4)) <= DEFAULT_TOL.eps_eq
 
 
+def sequential_clusters(angles: np.ndarray, eps_rank: float) -> list[list[int]]:
+    """Reference clustering: walk the sorted angles, start a new cluster at
+    each step above eps_rank, then join the last cluster to the first when
+    they meet across the 0 / 2*pi seam."""
+    clusters: list[list[int]] = []
+    for idx in np.argsort(angles, kind="stable"):
+        if clusters and angles[idx] - angles[clusters[-1][-1]] <= eps_rank:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    if len(clusters) > 1 and angles[clusters[0][0]] + 2 * math.pi - angles[clusters[-1][-1]] <= eps_rank:
+        clusters[0] = clusters.pop() + clusters[0]
+    return clusters
+
+
 class TestUnitaryEig:
     def test_diagonal(self):
         data = unitary_eig(np.diag([1.0, -1.0]).astype(complex))
@@ -222,6 +241,51 @@ class TestUnitaryEig:
         u = np.diag([np.exp(1j * 2e-10), np.exp(-1j * 2e-10)])
         data = unitary_eig(u)
         assert len(data.atoms) == 1
+
+    def test_collision_under_first_alpha_and_seam_cluster(self, rng):
+        # Angles t1 + t2 = 2 atan(alpha) meet in the Hermitian matrix of the
+        # first alpha, so the eigensolve must move on to the next one; the
+        # pair at +-1e-13 is one atom across the seam, 2.5 a double atom.
+        t2 = 1.0
+        t1 = 2.0 * math.atan(_SPLIT[0]) - t2
+        angles = np.array([t1, t2, 1e-13, -1e-13, 2.5, 2.5])
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        q, _ = np.linalg.qr(g)
+        u = (q * np.exp(1j * angles)) @ q.conj().T
+        w = (1.0 - 1j * _SPLIT[0]) * u
+        _, z = np.linalg.eigh(w + w.conj().T)
+        assert max_abs(u @ z - z * np.diag(z.conj().T @ u @ z)) > DEFAULT_TOL.eps_unit
+        data = unitary_eig(u)
+        assert len(data.atoms) == 4
+        for angle, mult in ((t1, 1), (t2, 1), (0.0, 2), (2.5, 2)):
+            (atom,) = [a for a in data.atoms if abs(a.value - np.exp(1j * angle)) <= 1e-12]
+            assert abs(np.trace(atom.projector) - mult) <= 1e-12
+        assert max_abs(data.reconstruct() - u) <= 1e-12
+        assert max_abs(data.projector_sum() - np.eye(6)) <= 1e-12
+
+    def test_raises_when_every_alpha_meets_a_pair(self, rng):
+        # One pair of angles meets under each alpha, so no eigenbasis is accepted.
+        pairs = [[t, 2.0 * math.atan(alpha) - t] for t, alpha in zip((1.0, 2.0, 4.0), _SPLIT)]
+        angles = np.concatenate(pairs)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        q, _ = np.linalg.qr(g)
+        with pytest.raises(np.linalg.LinAlgError):
+            unitary_eig((q * np.exp(1j * angles)) @ q.conj().T)
+
+    def test_clusters_match_sequential_reference(self, rng):
+        # Diagonal unitaries: the eigenbasis is the coordinate basis, so each
+        # atom's members are the nonzero diagonal entries of its projector.
+        for _ in range(200):
+            centers = rng.uniform(0.0, 2 * math.pi, int(rng.integers(1, 5)))
+            centers[0] = 0.0
+            angles = centers[rng.integers(0, centers.size, 8)]
+            angles = angles + rng.choice([0.0, 4e-10, -4e-10, 2e-9], 8)
+            u = np.diag(np.exp(1j * angles))
+            data = unitary_eig(u)
+            got = sorted(np.flatnonzero(np.diag(a.projector).real > 0.5).tolist() for a in data.atoms)
+            eigs = np.mod(np.angle(np.diag(u)), 2 * math.pi)
+            want = sorted(sorted(c) for c in sequential_clusters(eigs, DEFAULT_TOL.eps_rank))
+            assert got == want
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryOperator):
@@ -269,3 +333,26 @@ class TestGuardedInverse:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             guarded_inverse(np.zeros((2, 3), dtype=complex))
+
+
+class TestNumpyOnly:
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only LAPACK the package loads.
+        src = os.path.dirname(os.path.dirname(isoresolvent.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, isoresolvent.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_lapack_lite_has_the_qr_routines(self):
+        # The orthonormalizer calls these private numpy bindings directly.
+        from numpy.linalg import lapack_lite
+
+        assert callable(lapack_lite.zgeqrf)
+        assert callable(lapack_lite.zungqr)

@@ -125,6 +125,7 @@ class TestScalarMaps:
     def test_base_point_must_be_interior(self):
         with pytest.raises(ValueError):
             scalar_maps(1.0)
+        assert scalar_maps(1 - 1e-9).z0 == 1 - 1e-9
 
 
 class TestRegularTypeCorrespondence:
