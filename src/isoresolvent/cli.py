@@ -190,7 +190,7 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
     if abs(z0) >= 1.0:
         raise ScenarioError("z0 must lie strictly inside the unit disk")
 
-    frame = DefectFrame(operator, z0, tol)
+    frame = DefectFrame.of(operator, z0, tol)
     family = _parse_family(doc["family"], frame)
 
     report = validate_family(family, operator, disk_grid(12), tol, frame)

@@ -15,8 +15,8 @@ interpolated).
 
 Everything in these formulas except the parameter depends on (V, z0) alone.
 A :class:`DefectFrame` holds that geometry and computes each piece at most
-once; a caller working at one (V, z0) uses the frame's methods and pays for
-the geometry once.
+once, and :meth:`DefectFrame.of` keeps the last frame on the operator, so
+every caller at one (V, z0) shares it and pays for the geometry once.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def defect_parameter(
     v: IsometricOperator, z0, matrix, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ContractionOp:
     """Contraction N_{z0} -> N_{1/conj(z0)} in the canonical defect bases."""
-    frame = DefectFrame(v, z0, tol)
+    frame = DefectFrame.of(v, z0, tol)
     src, dst = frame.src, frame.dst
     return ContractionOp(src, dst, as_matrix(matrix) if np.size(matrix) else np.zeros((dst.dim, src.dim), dtype=complex))
 
@@ -193,19 +193,27 @@ class ExtensionOp:
 
     flavor "plus": the direct sum of the Cayley transform at z0 with C.
     flavor "orthogonal": its inverse Cayley image, an extension of V itself.
+
+    ``norm`` is the operator norm of ``matrix``, taken once on construction
+    unless given; only :class:`DefectFrame` passes it, for a matrix whose
+    norm it has just taken.  Callers bound sigma_min(E - zeta T) below by
+    1 - |zeta| * norm instead of measuring it.
     """
 
     matrix: np.ndarray
     z0: complex
     parameter: ContractionOp
     flavor: str
+    norm: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
         object.__setattr__(self, "z0", complex(self.z0))
         if self.flavor not in ("plus", "orthogonal"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if operator_norm(self.matrix) > 1.0 + _TOL_CAP:
+        if self.norm is None:
+            object.__setattr__(self, "norm", operator_norm(self.matrix))
+        if self.norm > 1.0 + _TOL_CAP:
             raise ValueError("extension is not a contraction")
 
 
@@ -231,9 +239,14 @@ class DefectFrame:
 
     The methods do the work of :func:`extend_full`,
     :func:`orthogonal_extension` and :func:`recover_parameter` on the
-    frame's geometry; those functions build a frame per call.
+    frame's geometry; those functions take the frame from :meth:`of`.
     :meth:`extension` keeps the orthogonal extension of the last parameter
     it assembled, so a constant family is assembled once per frame.
+
+    Package code obtains frames through :meth:`of`, never the constructor,
+    so a parameter drawn at (V, z0) and the resolvent built from it hold the
+    very same ``src``/``dst`` objects, and the space check between them is
+    an identity test.
     """
 
     v: IsometricOperator
@@ -247,10 +260,26 @@ class DefectFrame:
             raise ValueError("base point must lie inside the unit disk")
 
     @classmethod
+    def of(cls, v: IsometricOperator, z0=0j, tol: TolerancePolicy = DEFAULT_TOL) -> "DefectFrame":
+        """The frame of (v, z0, tol): the one kept on ``v`` when it was built
+        for the same base point and policy, else a new one, which replaces it.
+
+        One kept frame per operator holds memory at O(1) per operator when a
+        caller sweeps z0, and still serves every caller at a fixed (v, z0).
+        """
+        z0 = complex(z0)
+        kept = v._frame
+        if kept and kept[0].z0 == z0 and kept[0].tol == tol:
+            return kept[0]
+        frame = cls(v, z0, tol)
+        kept[:] = [frame]
+        return frame
+
+    @classmethod
     def ensure(cls, frame, v: IsometricOperator, z0, tol: TolerancePolicy) -> "DefectFrame":
-        """``frame`` after checking it was built for (v, z0, tol), or a new frame."""
+        """``frame`` after checking it was built for (v, z0, tol), or :meth:`of`."""
         if frame is None:
-            return cls(v, z0, tol)
+            return cls.of(v, z0, tol)
         if frame.v is not v or frame.z0 != complex(z0) or frame.tol != tol:
             raise ValueError("defect frame was built for another operator, base point or policy")
         return frame
@@ -291,9 +320,10 @@ class DefectFrame:
         if violations:
             raise ValueError(violations[0])
         matrix = self.transform_matrix + c.ambient()
-        if operator_norm(matrix) > 1.0 + self.tol.eps_unit:
+        norm = operator_norm(matrix)
+        if norm > 1.0 + self.tol.eps_unit:
             raise ValueError("assembled plus extension exceeds the contraction bound")
-        return ExtensionOp(matrix, self.z0, c, "plus")
+        return ExtensionOp(matrix, self.z0, c, "plus", norm)
 
     def extension(self, c: ContractionOp) -> ExtensionOp:
         """:func:`orthogonal_extension` of c, reused while c is the last parameter seen."""
@@ -302,7 +332,7 @@ class DefectFrame:
         z0, tol, n = self.z0, self.tol, self.v.ambient_dim
         plus = self.plus_extension(c)
         if z0 == 0:
-            matrix = plus.matrix
+            ext = ExtensionOp(plus.matrix, z0, c, "orthogonal", plus.norm)
         else:
             # ||T|| <= 1 and |z0| < 1 make E + z0 T invertible with norm of
             # the inverse at most 1/(1 - |z0|).  T is a contraction only
@@ -310,14 +340,19 @@ class DefectFrame:
             # these checks and the residual below fail only under a policy
             # whose eps_eq lies below those: an input error (ValueError).
             try:
-                inv = guarded_inverse(identity(n) + z0 * plus.matrix, tol, "orthogonal extension")
+                inv = guarded_inverse(
+                    identity(n) + z0 * plus.matrix,
+                    tol,
+                    "orthogonal extension",
+                    floor=1.0 - abs(z0) * plus.norm,
+                )
             except SingularOperator as exc:
                 raise ValueError(str(exc)) from exc
             if operator_norm(inv) > 1.0 / (1.0 - abs(z0)) + tol.eps_eq:
                 raise ValueError("resolvent bound of the plus extension violated")
             matrix = identity(n) / z0 + ((abs(z0) ** 2 - 1.0) / z0) * inv
-        ext = ExtensionOp(matrix, z0, c, "orthogonal")
-        residual = max_abs(matrix @ self.v.domain_basis - self.v.image_basis)
+            ext = ExtensionOp(matrix, z0, c, "orthogonal")
+        residual = max_abs(ext.matrix @ self.v.domain_basis - self.v.image_basis)
         if residual > 10 * tol.eps_eq:
             raise ValueError(f"extension does not extend V within 10 * eps_eq (residual {residual:.3e})")
         self._last[:] = (c, ext)
@@ -329,7 +364,9 @@ class DefectFrame:
         if z0 == 0:
             plus_matrix = t.matrix
         else:
-            inv = guarded_inverse(identity(n) - z0 * t.matrix, tol, "parameter recovery")
+            inv = guarded_inverse(
+                identity(n) - z0 * t.matrix, tol, "parameter recovery", floor=1.0 - abs(z0) * t.norm
+            )
             plus_matrix = -identity(n) / z0 + ((1.0 - abs(z0) ** 2) / z0) * inv
         w = self.transform
         iso_residual = max_abs(plus_matrix @ w.domain_basis - w.image_basis)
@@ -348,7 +385,7 @@ def extend_full(
     v: IsometricOperator, z0, c: ContractionOp, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExtensionOp:
     """The plus extension: Cayley transform of V at z0, extended by C to all of H."""
-    return DefectFrame(v, z0, tol).plus_extension(c)
+    return DefectFrame.of(v, z0, tol).plus_extension(c)
 
 
 def orthogonal_extension(
@@ -362,7 +399,7 @@ def orthogonal_extension(
     most 1/(1 - |z0|).  Both that and that the result extends V within
     10 * eps_eq are checked; a policy too tight for them raises ValueError.
     """
-    return DefectFrame(v, z0, tol).extension(c)
+    return DefectFrame.of(v, z0, tol).extension(c)
 
 
 def recover_parameter(
@@ -376,7 +413,7 @@ def recover_parameter(
     the isometric part of the rebuilt operator does not agree with the Cayley
     transform of V at z0, i.e. t is not an orthogonal extension of v there.
     """
-    return DefectFrame(v, z0, tol).recover_parameter(t)
+    return DefectFrame.of(v, z0, tol).recover_parameter(t)
 
 
 @dataclass(frozen=True)

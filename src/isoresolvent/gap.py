@@ -99,7 +99,7 @@ def build_gap_operators(
     two restricted projections with their SVDs, and the link with its
     isometry check.
     """
-    return _gap_operators(DefectFrame(v, z0, tol), lam)
+    return _gap_operators(DefectFrame.of(v, z0, tol), lam)
 
 
 def _gap_operators(frame: DefectFrame, lam) -> GapOperators:
@@ -159,7 +159,7 @@ def eigen_criterion(
     N_lambda and satisfies (V + C) f = conj(lam) f, which the test suite
     asserts at 10 * eps_eq.
     """
-    report = _boundary_criteria(DefectFrame(v, 0j, tol), c, lam)
+    report = _boundary_criteria(DefectFrame.of(v, 0j, tol), c, lam)
     return EigenResult(report.eigen, report.eigen_witness, report.sigma_cw)
 
 
@@ -201,7 +201,7 @@ def surjectivity_criterion(
     route: full rank of E - lam T for the extension T (square, so range = H
     exactly when the rank is full).  Both are reported.
     """
-    return _boundary_criteria(DefectFrame(v, 0j, tol), c, lam)
+    return _boundary_criteria(DefectFrame.of(v, 0j, tol), c, lam)
 
 
 def _boundary_criteria(frame: DefectFrame, c: ContractionOp, lam) -> CriteriaReport:

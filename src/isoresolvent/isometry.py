@@ -13,7 +13,7 @@ N_inf = its orthogonal complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -80,12 +80,14 @@ class IsometricOperator:
     ``domain_basis`` (n x d) has orthonormal columns spanning D(V);
     ``image_basis`` column j is V applied to domain column j.  Isometry of V
     makes the image columns orthonormal as well, which the constructor
-    verifies.
+    verifies.  ``_frame`` holds the operator's last defect frame, kept there
+    by :meth:`isoresolvent.extensions.DefectFrame.of`.
     """
 
     ambient_dim: int
     domain_basis: np.ndarray
     image_basis: np.ndarray
+    _frame: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dom = np.asarray(self.domain_basis, dtype=complex)
@@ -121,12 +123,13 @@ class IsometricOperator:
         """The ambient contraction V P_{D(V)} as an n x n matrix."""
         return self.image_basis @ self.domain_basis.conj().T
 
-    def apply(self, vec) -> np.ndarray:
-        """V f for f in D(V); rejects vectors outside the domain."""
+    def apply(self, vec, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        """V f for f in D(V); rejects vectors farther than eps_eq (relative to
+        max(1, ||f||)) from the domain."""
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         coeffs = self.domain_basis.conj().T @ vec
         inside = self.domain_basis @ coeffs
-        if np.linalg.norm(vec - inside) > 1e-8 * max(1.0, np.linalg.norm(vec)):
+        if np.linalg.norm(vec - inside) > tol.eps_eq * max(1.0, np.linalg.norm(vec)):
             raise ValueError("vector is not in the domain of the operator")
         return self.image_basis @ coeffs
 

@@ -358,6 +358,13 @@ class UnitarySpectralData:
         return out
 
 
+def _seam_angle(theta):
+    """Angles in [0, 2*pi): np.mod sends an angle within half an ulp of 2*pi
+    below 0 to exactly 2*pi, which is folded to 0."""
+    angle = np.mod(theta, TWO_PI)
+    return np.where(angle >= TWO_PI, 0.0, angle)
+
+
 def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
     """Spectral measure of a unitary matrix.
 
@@ -385,7 +392,7 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
             break
     else:
         raise np.linalg.LinAlgError("no splitting constant separates the eigenvalues of the unitary")
-    angles = np.mod(np.angle(eigs), TWO_PI)
+    angles = _seam_angle(np.angle(eigs))
     order = np.argsort(angles, kind="stable")
     # Gaps to the next angle, the last one across the seam; a cluster ends at
     # each gap above eps_rank, and one cluster may run over the seam.
@@ -398,19 +405,29 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
         proj = cols @ cols.conj().T
         mean = complex(np.sum(eigs[members]))
         value = mean / abs(mean)
-        angle = float(np.mod(np.angle(value), TWO_PI))
+        angle = float(_seam_angle(np.angle(value)))
         atoms.append(SpectralAtom(value, angle, proj))
     atoms.sort(key=lambda a: a.angle)
     return UnitarySpectralData(n, tuple(atoms))
 
 
-def guarded_inverse(m, tol: TolerancePolicy = DEFAULT_TOL, context: str = "") -> np.ndarray:
+def guarded_inverse(
+    m, tol: TolerancePolicy = DEFAULT_TOL, context: str = "", floor: float = 0.0
+) -> np.ndarray:
     """Matrix inverse guarded by the rank cutoff.
 
     Raises :class:`SingularOperator` (carrying sigma_min) when the smallest
     singular value is at or below ``eps_rank``, or when the achieved residual
     ||m @ inv - I||_max exceeds ``eps_eq``: either way the inverse demanded
     by a formula does not exist at policy scale.
+
+    ``floor`` is a proven lower bound on sigma_min that the caller knows from
+    structure, such as 1 - |zeta| ||T|| for E - zeta T.  Above twice
+    ``eps_rank`` (a margin for the roundoff in forming m and the bound) it
+    clears the rank cutoff, and the SVD is taken only if the inverse then
+    fails its residual test, for the sigma_min the error carries; the
+    verdict and its message are those of the SVD-first order.  A floor that
+    is not a proven bound lets a numerically singular m through.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -418,13 +435,15 @@ def guarded_inverse(m, tol: TolerancePolicy = DEFAULT_TOL, context: str = "") ->
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    smin = sigma_min(m)
-    if smin <= tol.eps_rank:
+    smin = sigma_min(m) if floor <= 2.0 * tol.eps_rank else None
+    if smin is not None and smin <= tol.eps_rank:
         raise SingularOperator(smin, context)
     inv = np.linalg.solve(m, identity(n))
     residual = max_abs(m @ inv - identity(n))
     if residual > tol.eps_eq:
         raise SingularOperator(
-            smin, context, f"inverse residual {residual:.3e} exceeds eps_eq {tol.eps_eq:.3e}"
+            sigma_min(m) if smin is None else smin,
+            context,
+            f"inverse residual {residual:.3e} exceeds eps_eq {tol.eps_eq:.3e}",
         )
     return inv

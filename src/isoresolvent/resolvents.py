@@ -52,10 +52,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def _interior(frame: DefectFrame, fam: ParameterFamily, zeta: complex) -> np.ndarray:
-    """[E - zeta T(zeta)]^{-1} for the orthogonal extension T(zeta) at the frame."""
+    """[E - zeta T(zeta)]^{-1} for the orthogonal extension T(zeta) at the frame.
+
+    sigma_min(E - zeta T) >= 1 - |zeta| ||T||, the floor that spares the
+    inverse its SVD away from the circle.
+    """
     ext = frame.extension(fam.value_at(zeta, frame.tol))
     n = frame.v.ambient_dim
-    return guarded_inverse(identity(n) - zeta * ext.matrix, frame.tol, "interior resolvent")
+    return guarded_inverse(
+        identity(n) - zeta * ext.matrix, frame.tol, "interior resolvent", floor=1.0 - abs(zeta) * ext.norm
+    )
 
 
 def chumakin(
@@ -71,7 +77,7 @@ def chumakin(
         raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != 0:
         raise ValueError("family must be based at 0")
-    return _interior(DefectFrame(v, 0j, tol), fam, zeta)
+    return _interior(DefectFrame.of(v, 0j, tol), fam, zeta)
 
 
 def inin(
@@ -87,7 +93,7 @@ def inin(
         raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != z0:
         raise ValueError("family base point does not match z0")
-    return _interior(DefectFrame(v, z0, tol), fam, zeta)
+    return _interior(DefectFrame.of(v, z0, tol), fam, zeta)
 
 
 @dataclass(frozen=True)

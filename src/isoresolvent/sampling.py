@@ -26,7 +26,14 @@ __all__ = [
     "random_boundary_point",
     "regular_boundary_point",
     "disk_grid",
+    "REGULAR_MARGIN",
 ]
+
+# How far a drawn boundary point is kept from where a criterion flips: the
+# lower bound of the regular-type map at its circle-inverse, or its angle to
+# an eigenvalue.  Far above any policy's eps_rank, so the cutoffs downstream
+# decide points that are clearly on one side.
+REGULAR_MARGIN = 1e-3
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -80,7 +87,7 @@ def random_parameter(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> ContractionOp:
     """Random contraction parameter between the canonical defect spaces of v."""
-    frame = DefectFrame(v, z0, tol)
+    frame = DefectFrame.of(v, z0, tol)
     src, dst = frame.src, frame.dst
     if unitary:
         if src.dim != dst.dim:
@@ -111,7 +118,7 @@ def random_boundary_point(rng: np.random.Generator) -> complex:
 def regular_boundary_point(
     rng: np.random.Generator,
     v: IsometricOperator,
-    margin: float = 1e-3,
+    margin: float = REGULAR_MARGIN,
     max_tries: int = 200,
 ) -> complex:
     """Boundary point whose circle-inverse is of regular type for v with a

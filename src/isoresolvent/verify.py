@@ -23,16 +23,14 @@ from .extensions import (
 )
 from .gap import _boundary_criteria, surjectivity_criterion
 from .isometry import (
-    INF,
     IsometricOperator,
     decompositions,
-    defect_spaces,
     projection_identity_residual,
     regular_type,
 )
 from .numerics import DEFAULT_TOL, TolerancePolicy, identity, max_abs
 from .resolvents import ResolventFn, exterior_value, herglotz_check, inin, verify_inversion
-from .transforms import cayley, regular_type_correspondence, relate_resolvents
+from .transforms import regular_type_correspondence, relate_resolvents
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
@@ -89,7 +87,7 @@ def run_property_suite(
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
         r_z = ResolventFn(vv, constant_family(c, zz), zz, tol)
-        frame_0 = DefectFrame(vv, 0j, tol)
+        frame_0 = DefectFrame.of(vv, 0j, tol)
         f0 = frame_0.recover_parameter(r_z.frame.extension(c))
         r_0 = ResolventFn(vv, constant_family(f0, 0.0), 0.0, tol, frame_0)
         for zeta in sampling.disk_grid(6):
@@ -108,7 +106,7 @@ def run_property_suite(
         zz = sampling.random_disk_point(rng, 0.15, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
         famz = constant_family(c, zz)
-        w = cayley(vv, zz, tol)
+        w = DefectFrame.of(vv, zz, tol).transform
         fam_inner = constant_family(c, 0.0)
         r_outer = ResolventFn(vv, famz, zz, tol)
         r_inner = ResolventFn(w, fam_inner, 0.0, tol)
@@ -157,7 +155,7 @@ def run_property_suite(
     disagreements = 0
     for _ in range(25):
         vv = sampling.random_isometry(rng, n_max=6)
-        frame0 = DefectFrame(vv, 0j, tol)
+        frame0 = DefectFrame.of(vv, 0j, tol)
         if frame0.src.dim == 0:
             continue
         c = sampling.random_unitary_parameter(rng, vv)
@@ -165,16 +163,16 @@ def run_property_suite(
         eigs = np.linalg.eigvals(t.matrix)
         for mu in eigs:
             lam = complex(mu).conjugate()
-            if regular_type(vv, complex(mu), tol).sigma_min <= 1e-3:
+            if regular_type(vv, complex(mu), tol).sigma_min <= sampling.REGULAR_MARGIN:
                 continue
             if not _boundary_criteria(frame0, c, lam).eigen:
                 disagreements += 1
         for _ in range(5):
             lam = sampling.random_boundary_point(rng)
             mu = lam.conjugate()
-            if regular_type(vv, mu, tol).sigma_min <= 1e-3:
+            if regular_type(vv, mu, tol).sigma_min <= sampling.REGULAR_MARGIN:
                 continue
-            if min(abs(np.angle(np.asarray(eigs) / mu))) < 1e-3:
+            if min(abs(np.angle(np.asarray(eigs) / mu))) < sampling.REGULAR_MARGIN:
                 continue
             if _boundary_criteria(frame0, c, lam).eigen:
                 disagreements += 1
@@ -209,7 +207,8 @@ def run_property_suite(
     worst = 0.0
     for _ in range(15):
         vv = sampling.random_isometry(rng, n_max=6)
-        if defect_spaces(vv, 0.0, tol).n.dim != defect_spaces(vv, INF, tol).n.dim:
+        frame = DefectFrame.of(vv, 0j, tol)
+        if frame.src.dim != frame.dst.dim:
             continue
         c = sampling.random_unitary_parameter(rng, vv)
         famu = constant_family(c, 0.0)
@@ -240,7 +239,7 @@ def run_property_suite(
         c = sampling.random_parameter(rng, vv, za)
         ext_a = orthogonal_extension(vv, za, c, tol)
         for zb in (0.3 + 0j, -0.2 + 0.4j, 0.5j):
-            frame_b = DefectFrame(vv, zb, tol)
+            frame_b = DefectFrame.of(vv, zb, tol)
             cb = frame_b.recover_parameter(ext_a)
             ext_b = frame_b.extension(cb)
             worst = max(worst, max_abs(ext_b.matrix - ext_a.matrix))
@@ -252,7 +251,7 @@ def run_property_suite(
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz)
-        frame_z = DefectFrame(vv, zz, tol)
+        frame_z = DefectFrame.of(vv, zz, tol)
         back = frame_z.recover_parameter(frame_z.extension(c))
         worst = max(worst, max_abs(back.matrix - c.matrix))
     results.append(_result("parameter_roundtrip", worst <= 10 * tol.eps_eq, f"max deviation {worst:.2e}"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isoresolvent import cli
+from isoresolvent import DEFAULT_TOL, DefectFrame, cli, extensions, numerics, resolvents
 from isoresolvent.cli import ScenarioError, main, parse_scenario
 
 
@@ -506,6 +506,67 @@ class TestReportBytes:
         written = capsys.readouterr().out
         assert "-0.0" in written
         assert written == json.dumps(strict_loads(written), indent=2) + "\n"
+
+
+class TestShortcutsKeepBytes:
+    """The frame kept per operator and the structural floor of the inverse
+    change no byte: every command writes the same files with the same exit
+    code as with both shortcuts defeated, a fresh frame per request and an
+    SVD per inverse."""
+
+    @staticmethod
+    def run(tmp_path, capsys, path, command):
+        out = tmp_path / "report.json"
+        code = main([path, *command, "--out", str(out)])
+        captured = capsys.readouterr()
+        written = {}
+        for f in sorted(tmp_path.glob("report.json*")):
+            written[f.name] = f.read_bytes()
+            f.unlink()
+        return code, captured.out, captured.err, written
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(e1_scenario(0.5, z0=(0.3, 0.1)), id="e1-z0"),
+            pytest.param(random_scenario(16, 12, seed=11), id="n16"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["resolvent", "--grid", "3"],
+            ["resolvent", "--zeta", "0.5", "0.1"],
+            ["resolvent", "--zeta", "-1.5", "2.0"],
+            ["gap-scan", "--arc", "0.5", "2.5", "--samples", "5"],
+            ["verify", "--seed", "3"],
+        ],
+        ids=lambda c: "-".join(c[:2]) + ("-ext" if "-1.5" in c else ""),
+    )
+    def test_same_bytes_without_shortcuts(self, tmp_path, capsys, monkeypatch, scenario, command):
+        path = write_scenario(tmp_path, scenario, "scenario.in")
+        shipped = self.run(tmp_path, capsys, path, command)
+        assert shipped[3]
+
+        used = {"fresh frames": 0, "inverses": 0}
+
+        def fresh(cls, v, z0=0j, tol=DEFAULT_TOL):
+            used["fresh frames"] += 1
+            return cls(v, z0, tol)
+
+        original = numerics.guarded_inverse
+
+        def no_floor(m, tol=DEFAULT_TOL, context="", floor=0.0):
+            used["inverses"] += 1
+            return original(m, tol, context)
+
+        monkeypatch.setattr(DefectFrame, "of", classmethod(fresh))
+        for module in (numerics, extensions, resolvents):
+            monkeypatch.setattr(module, "guarded_inverse", no_floor)
+        defeated = self.run(tmp_path, capsys, path, command)
+        assert used["fresh frames"]
+        assert used["inverses"] or command[0] == "gap-scan"  # no inverse in a scan at z0 = 0
+        assert defeated == shipped
 
 
 # A leading space keeps argparse from reading a negative number such as

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import isoresolvent.isometry
+import isoresolvent.numerics
 import isoresolvent.transforms
 from isoresolvent import (
     DEFAULT_TOL,
@@ -28,7 +29,8 @@ from isoresolvent import (
     validate_family,
 )
 from isoresolvent.cli import main, parse_scenario
-from isoresolvent.sampling import random_unitary
+from isoresolvent.numerics import operator_norm
+from isoresolvent.sampling import random_parameter, random_unitary
 from isoresolvent.verify import run_property_suite
 
 Z0_CASES = [0j, 0.3 - 0.2j]
@@ -93,6 +95,66 @@ class TestCallCounts:
             zeta = 0.7 * np.exp(0.4j * j)
             r.at(zeta if j % 2 else 1.0 / np.conj(zeta))
         assert counts["defect_spaces"] <= 2
+
+
+class TestSharedFrame:
+    def test_of_keeps_the_last_frame_on_the_operator(self, rng):
+        v, _, _ = restriction(rng, 6, 4, 0j)
+        frame = DefectFrame.of(v, 0.2j)
+        assert DefectFrame.of(v, 0.2j) is frame
+        assert DefectFrame.of(v, 0.2j, TolerancePolicy()) is frame  # equal policy
+        assert DefectFrame.ensure(None, v, 0.2j, DEFAULT_TOL) is frame
+        finer = TolerancePolicy(eps_rank=1e-10)
+        by_tol = DefectFrame.of(v, 0.2j, finer)
+        assert by_tol is not frame and by_tol.tol == finer
+        assert DefectFrame.of(v, 0.2j, finer) is by_tol
+        by_z0 = DefectFrame.of(v, 0.3, finer)
+        assert by_z0 is not by_tol and by_z0.z0 == 0.3
+        assert v._frame == [by_z0]  # one kept frame: the earlier ones are gone
+        assert DefectFrame.of(v, 0.2j) is not frame
+        twin = IsometricOperator(6, v.domain_basis, v.image_basis)
+        assert DefectFrame.of(twin, 0.2j) is not DefectFrame.of(v, 0.2j)
+
+    @pytest.mark.parametrize("z0", Z0_CASES)
+    def test_parameter_and_resolvent_share_the_geometry(self, monkeypatch, rng, z0):
+        u = random_unitary(rng, 7)
+        v = IsometricOperator(7, np.eye(7, dtype=complex)[:, :4], u[:, :4])
+        counts = count_calls(
+            monkeypatch, isoresolvent.isometry.defect_spaces, isoresolvent.numerics.subspace_gap
+        )
+        c = random_parameter(rng, v, z0)
+        r = ResolventFn(v, constant_family(c, z0), z0)
+        r.at(0.4 - 0.3j)
+        r.at(2.0 + 0.5j)
+        assert counts == {"defect_spaces": 2}
+
+    @pytest.mark.parametrize("z0", Z0_CASES)
+    def test_unitary_resolvent_values_take_no_svd(self, monkeypatch, rng, z0):
+        """1 - |zeta| ||T|| >= 0.1 clears the rank cutoff, on either branch."""
+        v, c, _ = restriction(rng, 8, 5, z0)
+        r = ResolventFn(v, constant_family(c, z0), z0)
+        r.at(0.0)  # assembles the extension
+        counts = count_calls(monkeypatch, isoresolvent.numerics.singular_values)
+        for j in range(12):
+            zeta = 0.9 * (j + 1) / 12 * np.exp(0.5j * j)
+            r.at(zeta)
+            r.at(1.0 / np.conj(zeta))
+        assert counts["singular_values"] == 0
+
+    @pytest.mark.parametrize("z0, svds", [(0j, 1), (0.3 - 0.2j, 3)])
+    def test_extension_norms(self, monkeypatch, rng, z0, svds):
+        """At z0 = 0 the plus extension's norm is the orthogonal extension's;
+        otherwise the norms of the plus extension, the inverse and the result."""
+        v, c, _ = restriction(rng, 8, 5, z0)
+        frame = DefectFrame(v, z0)
+        c = ContractionOp(frame.src, frame.dst, c.matrix)
+        frame.transform_matrix
+        counts = count_calls(
+            monkeypatch, isoresolvent.numerics.operator_norm, isoresolvent.numerics.singular_values
+        )
+        ext = frame.extension(c)
+        assert counts == {"operator_norm": svds, "singular_values": svds}
+        assert ext.norm == operator_norm(ext.matrix)
 
 
 class TestAgreement:

@@ -9,6 +9,7 @@ from isoresolvent import (
     INF,
     IsometricOperator,
     PreconditionViolated,
+    TolerancePolicy,
     decompositions,
     defect_spaces,
     orthonormalize,
@@ -40,6 +41,12 @@ class TestConstruction:
 
     def test_apply_inside_domain(self, e1):
         assert_allclose(e1.apply([2, 0]), [0, 2], atol=1e-14)
+
+    def test_apply_cutoff_is_the_policy_eps_eq(self, e1):
+        near = [1.0, 1e-9]  # 1e-9 off the domain, inside the default eps_eq
+        assert_allclose(e1.apply(near), [0, 1], atol=1e-14)
+        with pytest.raises(ValueError, match="not in the domain"):
+            e1.apply(near, TolerancePolicy(eps_eq=1e-10))
 
 
 class TestDefectSpaces:

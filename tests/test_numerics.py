@@ -24,6 +24,7 @@ from isoresolvent import (
     unitary_eig,
 )
 from isoresolvent.numerics import _SPLIT, TolerancePolicy, sigma_min
+from isoresolvent.sampling import random_unitary
 
 
 class TestTolerancePolicy:
@@ -287,6 +288,25 @@ class TestUnitaryEig:
             want = sorted(sorted(c) for c in sequential_clusters(eigs, DEFAULT_TOL.eps_rank))
             assert got == want
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_seam_atom_listed_first_for_either_sign_of_roundoff(self, rng, sign):
+        # np.mod of an angle just below 0 rounds to exactly 2*pi; the atom at
+        # the seam must still read angle 0 and come first.  Diagonal
+        # unitaries keep the angle +-1e-17 exact; rotated ones carry roundoff
+        # of either sign.
+        angles = np.array([sign * 1e-17, 1.0, 2.5, 4.0])
+        unitaries = [np.diag(np.exp(1j * angles))]
+        for _ in range(50):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            q, _ = np.linalg.qr(g)
+            unitaries.append((q * np.exp(1j * angles)) @ q.conj().T)
+        for u in unitaries:
+            atoms = unitary_eig(u).atoms
+            assert len(atoms) == 4
+            assert all(0.0 <= a.angle < 2 * math.pi for a in atoms)
+            assert abs(atoms[0].value - 1.0) <= 1e-12 and atoms[0].angle <= 1e-12
+            assert [a.angle for a in atoms] == sorted(a.angle for a in atoms)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryOperator):
             unitary_eig(np.array([[1, 1], [0, 1]], dtype=complex))
@@ -333,6 +353,49 @@ class TestGuardedInverse:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             guarded_inverse(np.zeros((2, 3), dtype=complex))
+
+    @staticmethod
+    def count_svds(monkeypatch):
+        calls = []
+        original = isoresolvent.numerics.singular_values
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(isoresolvent.numerics, "singular_values", counted)
+        return calls
+
+    def test_floor_above_twice_eps_rank_spares_the_svd(self, monkeypatch, rng):
+        u = random_unitary(rng, 5)
+        m = np.eye(5) - 0.6 * u  # sigma_min >= 1 - 0.6
+        want = guarded_inverse(m)
+        calls = self.count_svds(monkeypatch)
+        got = guarded_inverse(m, floor=0.4)
+        assert calls == []
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 2.0])
+    def test_floor_at_or_below_twice_eps_rank_takes_the_svd(self, monkeypatch, factor):
+        calls = self.count_svds(monkeypatch)
+        guarded_inverse(np.eye(3, dtype=complex), floor=factor * DEFAULT_TOL.eps_rank)
+        assert len(calls) == 1
+        with pytest.raises(SingularOperator) as err:
+            guarded_inverse(np.ones((2, 2), dtype=complex), floor=factor * DEFAULT_TOL.eps_rank)
+        assert err.value.sigma_min <= DEFAULT_TOL.eps_rank
+
+    def test_residual_failure_under_a_floor_still_carries_sigma_min(self, monkeypatch):
+        tight = TolerancePolicy(eps_eq=1e-300)
+        m = np.array([[1.0, -0.5], [-0.3, 1.0]], dtype=complex) * (1 + 1j) / 3
+        with pytest.raises(SingularOperator) as first:
+            guarded_inverse(m, tight, "ctx")
+        calls = self.count_svds(monkeypatch)
+        with pytest.raises(SingularOperator) as floored:
+            guarded_inverse(m, tight, "ctx", floor=0.1)
+        assert len(calls) == 1  # taken after the residual test failed
+        assert str(floored.value) == str(first.value)
+        assert "inverse residual" in str(floored.value)
+        assert floored.value.sigma_min == first.value.sigma_min == sigma_min(m)
 
 
 class TestNumpyOnly:
