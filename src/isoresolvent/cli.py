@@ -38,7 +38,7 @@ from .isometry import (
     is_inf_point,
     regular_type,
 )
-from .numerics import DEFAULT_TOL, SingularOperator, TolerancePolicy, max_abs
+from .numerics import DEFAULT_TOL, SingularOperator, TolerancePolicy, _gram_residual
 from .resolvents import ResolventFn
 from .sampling import disk_grid
 from .verify import run_property_suite
@@ -160,7 +160,7 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
                 eps_eq=float(toler.get("eps_eq", DEFAULT_TOL.eps_eq)),
                 eps_unit=float(toler.get("eps_unit", DEFAULT_TOL.eps_unit)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a non-number
             raise ScenarioError(f"bad tolerance policy: {exc}") from exc
     else:
         tol = DEFAULT_TOL
@@ -174,12 +174,12 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
         raise ScenarioError("domain_basis and image_basis must list the same number of columns")
     d = domain.shape[1]
     if d:
-        gram_residual = max_abs(domain.conj().T @ domain - np.eye(d))
+        gram_residual = _gram_residual(domain)
         if gram_residual > tol.eps_unit:
             raise ScenarioError(
                 f"domain basis is not orthonormal (Gram residual {gram_residual:.3e})"
             )
-        iso_residual = max_abs(image.conj().T @ image - np.eye(d))
+        iso_residual = _gram_residual(image)
         if iso_residual > tol.eps_unit:
             raise ScenarioError(
                 f"images are not isometric (Gram residual {iso_residual:.3e})"

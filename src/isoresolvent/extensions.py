@@ -21,6 +21,7 @@ every caller at one (V, z0) shares it and pays for the geometry once.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +33,9 @@ from .numerics import (
     SingularOperator,
     Subspace,
     TolerancePolicy,
+    _SPACE_GAP,
     _TOL_CAP,
+    _gram_residual,
     as_matrix,
     guarded_inverse,
     identity,
@@ -75,11 +78,19 @@ class ContractionOp:
 
     ``matrix`` is dim(dst) x dim(src) in the stored bases; the ambient
     action on C^n is dst.basis @ matrix @ src.basis^H.
+
+    ``norm_bound`` is an upper bound on the operator norm of ``matrix``.  A
+    caller that knows one from structure passes it, like
+    :class:`ExtensionOp`'s ``norm``; when it clears the contraction cap the
+    norm is not measured.  Otherwise (not given, above the cap, or NaN) the
+    norm is measured as before, checked, and kept as the bound.  A bound
+    that is not proven lets a non-contraction through.
     """
 
     src: Subspace
     dst: Subspace
     matrix: np.ndarray
+    norm_bound: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -90,8 +101,11 @@ class ContractionOp:
             raise ValueError(
                 f"matrix shape {m.shape} does not match (dst {self.dst.dim}, src {self.src.dim})"
             )
-        if operator_norm(m) > 1.0 + _TOL_CAP:
-            raise ValueError("matrix is not a contraction")
+        if not (self.norm_bound is not None and self.norm_bound <= 1.0 + _TOL_CAP):
+            norm = operator_norm(m)
+            if norm > 1.0 + _TOL_CAP:
+                raise ValueError("matrix is not a contraction")
+            object.__setattr__(self, "norm_bound", norm)
 
     def ambient(self) -> np.ndarray:
         return self.dst.basis @ self.matrix @ self.src.basis.conj().T
@@ -153,7 +167,8 @@ class ParameterFamily:
         if self.kind == "blaschke":
             a = self.blaschke_a
             b = (zeta - a) / (1.0 - a.conjugate() * zeta)
-            return ContractionOp(self.blaschke_u0.src, self.blaschke_u0.dst, b * self.blaschke_u0.matrix)
+            u0 = self.blaschke_u0
+            return ContractionOp(u0.src, u0.dst, b * u0.matrix, abs(b) * u0.norm_bound)
         for point, value in self.table:
             if abs(point - zeta) <= tol.eps_rank:
                 return value
@@ -171,7 +186,7 @@ def blaschke_family(a, u0: ContractionOp, z0, tol: TolerancePolicy = DEFAULT_TOL
     k = u0.matrix.shape
     if k[0] != k[1]:
         raise ValueError("Blaschke carrier must be square (unitary)")
-    if k[0] and max_abs(u0.matrix.conj().T @ u0.matrix - np.eye(k[1])) > tol.eps_unit:
+    if _gram_residual(u0.matrix) > tol.eps_unit:
         raise ValueError("Blaschke carrier must be unitary")
     return ParameterFamily("blaschke", complex(z0), blaschke_a=a, blaschke_u0=u0)
 
@@ -217,11 +232,6 @@ class ExtensionOp:
             raise ValueError("extension is not a contraction")
 
 
-# Largest subspace gap at which a parameter's stored spaces count as the
-# defect spaces of the frame.
-_SPACE_GAP = 1e-6
-
-
 def _space_mismatch(stored: Subspace, expected: Subspace) -> bool:
     if stored is expected:
         return False
@@ -258,6 +268,9 @@ class DefectFrame:
         object.__setattr__(self, "z0", complex(self.z0))
         if abs(self.z0) >= 1.0:
             raise ValueError("base point must lie inside the unit disk")
+        if self.z0 and not cmath.isfinite(1.0 / self.z0):
+            # The formulas at z0 != 0 divide by z0.
+            raise ValueError("base point is so small that 1/conj(z0) leaves the float range")
 
     @classmethod
     def of(cls, v: IsometricOperator, z0=0j, tol: TolerancePolicy = DEFAULT_TOL) -> "DefectFrame":

@@ -15,6 +15,16 @@ minus 1/lambda is surjective.  The arc scan samples an open arc and checks
 the continuity / boundary-isometry / invertibility conditions per sample,
 computing invertibility both through the link criteria and directly so their
 agreement is itself testable.
+
+Two facts of the finite-dimensional setting spare SVDs without changing a
+verdict.  The M spaces are the complements of equally dimensional N spaces,
+so their projection condition has the singular value q_min of the N-space
+projection Q, which the link already measures.  And the regular-type lower
+bound moves by at most ||domain|| |s - s'| between points s and s' (Weyl),
+so the arc scan measures it only where the bound carried from the last
+measurement no longer proves the hypothesis.  What remains per sample is
+the QR of the boundary defect pair, sigma_min(E - lambda T) and the k x k
+work on the defect spaces.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .numerics import (
     DEFAULT_TOL,
     Subspace,
     TolerancePolicy,
+    _gram_residual,
     identity,
     max_abs,
     sigma_min,
@@ -70,7 +81,10 @@ class GapOperators:
     canonical bases; both are invertible under the regular-type hypothesis.
     ``link`` is the resulting isometry of N_{z0} onto N_{1/conj(z0)};
     ``boundary_defect`` is N_lambda itself and ``boundary_m`` its partner
-    M_lambda, which the M-space projection condition reads.
+    M_lambda.  ``q_min`` is sigma_min of ``dst_projection`` (+inf when
+    N_lambda = {0}), the cosine of the largest principal angle between
+    N_lambda and N_{1/conj(z0)}, which also decides the M-space projection
+    condition.
     """
 
     src_projection: np.ndarray
@@ -79,6 +93,7 @@ class GapOperators:
     boundary_defect: Subspace
     scalar: complex
     boundary_m: Subspace
+    q_min: float = math.inf
 
 
 def build_gap_operators(
@@ -97,27 +112,66 @@ def build_gap_operators(
     caller scanning many boundary points at one frame computes once.  Per
     point: the regular-type test, the boundary pair N_lambda / M_lambda, the
     two restricted projections with their SVDs, and the link with its
-    isometry check.
+    isometry check, whose residual also bounds its norm.
     """
     return _gap_operators(DefectFrame.of(v, z0, tol), lam)
 
 
-def _gap_operators(frame: DefectFrame, lam) -> GapOperators:
-    """:func:`build_gap_operators` at the frame's operator, base point and policy."""
+# Allowance for the roundoff of a measured sigma_min(A(s)), A(s) = image -
+# s * domain, per ambient dimension: LAPACK's singular values are exact for
+# a matrix within a small multiple of n * eps * ||A|| (||A|| <= 2 on the
+# circle), taken here generously.
+_SIGMA_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+class _RegularFloor:
+    """A proven lower bound on sigma_min(A(s)) along an arc, where A(s) =
+    image - s * domain is the map :func:`regular_type` tests.
+
+    It is anchored at the last measurement, sigma' at s'.  By Weyl's
+    inequality sigma_min(A(s)) >= sigma' - ||domain|| |s - s'|, and
+    ||domain|| <= ``slope`` = sqrt(1 + d * r) for the Gram residual r of the
+    domain basis (1 to roundoff for the bases the package builds).  Less
+    ``slack`` for the roundoff of sigma', a floor above twice eps_rank (the
+    margin of :func:`guarded_inverse`'s floor) proves the hypothesis.
+    """
+
+    def __init__(self):
+        self.point, self.sigma, self.slope, self.slack = 0j, -math.inf, 0.0, 0.0
+
+    def clears(self, s: complex, tol: TolerancePolicy) -> bool:
+        return self.sigma - self.slope * abs(s - self.point) - self.slack > 2.0 * tol.eps_rank
+
+    def anchor(self, a: IsometricOperator, s: complex, sigma: float) -> None:
+        if not self.slope:
+            self.slope = math.sqrt(1.0 + a.domain_dim * _gram_residual(a.domain_basis))
+            self.slack = _SIGMA_ROUNDOFF * a.ambient_dim
+        self.point, self.sigma = s, sigma
+
+
+def _gap_operators(frame: DefectFrame, lam, floor: _RegularFloor | None = None) -> GapOperators:
+    """:func:`build_gap_operators` at the frame's operator, base point and policy.
+
+    ``floor``, which :func:`arc_scan` carries from sample to sample, skips
+    the regular-type SVD where it proves the hypothesis; a point it does
+    not clear is measured as without it and re-anchors it.
+    """
     v, z0, tol = frame.v, frame.z0, frame.tol
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > tol.eps_unit:
         raise ValueError("boundary point must lie on the unit circle")
     if z0 == 0:
-        scalar = lam.conjugate()
-        rt = regular_type(v, lam.conjugate(), tol)
+        scalar, tested = lam.conjugate(), v
     else:
-        scalar = (1.0 - z0.conjugate() * lam) / (lam - z0)
-        rt = regular_type(frame.transform, scalar, tol)
-    if not rt.is_regular:
-        raise PreconditionViolated(
-            f"regular-type hypothesis fails at lam={lam!r} (sigma_min={rt.sigma_min:.3e})"
-        )
+        scalar, tested = (1.0 - z0.conjugate() * lam) / (lam - z0), frame.transform
+    if floor is None or not floor.clears(scalar, tol):
+        rt = regular_type(tested, scalar, tol)
+        if not rt.is_regular:
+            raise PreconditionViolated(
+                f"regular-type hypothesis fails at lam={lam!r} (sigma_min={rt.sigma_min:.3e})"
+            )
+        if floor is not None:
+            floor.anchor(tested, scalar, rt.sigma_min)
     boundary = defect_spaces(v, lam, tol)
     n_lam = boundary.n
     n_src, n_dst = frame.src, frame.dst
@@ -127,6 +181,7 @@ def _gap_operators(frame: DefectFrame, lam) -> GapOperators:
         raise PreconditionViolated(
             f"defect dimensions differ: N_lam {n_lam.dim}, src {n_src.dim}, dst {n_dst.dim}"
         )
+    q_min = math.inf
     if n_lam.dim:
         s_min, q_min = sigma_min(s_mat), sigma_min(q_mat)
         if s_min <= tol.eps_rank or q_min <= tol.eps_rank:
@@ -136,10 +191,12 @@ def _gap_operators(frame: DefectFrame, lam) -> GapOperators:
         link_matrix = scalar * (q_mat @ np.linalg.inv(s_mat))
     else:
         link_matrix = np.zeros((0, 0), dtype=complex)
-    link = ContractionOp(n_src, n_dst, link_matrix)
-    if n_lam.dim and max_abs(link_matrix.conj().T @ link_matrix - np.eye(n_src.dim)) > tol.eps_unit:
+    residual = _gram_residual(link_matrix)
+    # ||L||^2 = ||L^H L|| <= 1 + ||L^H L - I|| <= 1 + k * residual.
+    link = ContractionOp(n_src, n_dst, link_matrix, math.sqrt(1.0 + n_src.dim * residual))
+    if residual > tol.eps_unit:
         raise PreconditionViolated("link operator failed the isometry check")
-    return GapOperators(s_mat, q_mat, link, n_lam, scalar, boundary.m)
+    return GapOperators(s_mat, q_mat, link, n_lam, scalar, boundary.m, q_min)
 
 
 @dataclass(frozen=True)
@@ -170,7 +227,10 @@ class CriteriaReport:
     ``surjective`` is the link-route verdict (cond_cw_onto and cond_pm);
     ``crosscheck_rank`` is the direct full-rank check of E - lam T for the
     orthogonal extension T, the matrix the arc scan tests.  The two routes
-    must agree, which the property suite asserts.
+    must agree, which the property suite asserts.  ``sigma_pm``, the
+    singular value behind cond_pm, equals the link's q_min by the principal
+    angles of complements (see :func:`_sigma_pm`), so cond_pm holds whenever
+    the link exists: the condition is automatic in finite dimension.
     """
 
     eigen: bool
@@ -184,11 +244,23 @@ class CriteriaReport:
     sigma_direct: float = math.inf
 
 
-def _pm_condition(frame: DefectFrame, m_lam: Subspace) -> tuple[bool, float]:
-    """Projection condition between the M spaces: P onto M at the reflected
-    base point maps M_lambda onto the whole of it."""
-    smin = sigma_min(frame.reflected.m.basis.conj().T @ m_lam.basis)
-    return smin > frame.tol.eps_rank, smin
+def _sigma_pm(frame: DefectFrame, ops: GapOperators) -> float:
+    """sigma_min of P_{M_{1/conj(z0)}} restricted to M_lambda, the singular
+    value of the M-space projection condition, read off ``ops.q_min``.
+
+    :func:`_gap_operators` has made N_lambda and N_{1/conj(z0)} equally
+    dimensional, and the M spaces are their orthogonal complements.  Such
+    complements share the principal angles of the N spaces (Knyazev and
+    Argentati, SIAM J. Sci. Comput. 23, 2002): the angles in (0, pi/2) carry
+    over, and right angles come in pairs, since dim(X & Y^perp) =
+    dim(X^perp & Y) for equally dimensional X and Y.  So the largest angle,
+    and with it sigma_min = q_min, is the same.  The edge values are those
+    of the SVD: +inf when the M spaces are {0} (an empty domain) and 1.0
+    when they are all of C^n (N_lambda = {0}).
+    """
+    if frame.v.domain_dim == 0:
+        return math.inf
+    return ops.q_min if ops.boundary_defect.dim else 1.0
 
 
 def surjectivity_criterion(
@@ -204,24 +276,30 @@ def surjectivity_criterion(
     return _boundary_criteria(DefectFrame.of(v, 0j, tol), c, lam)
 
 
-def _boundary_criteria(frame: DefectFrame, c: ContractionOp, lam) -> CriteriaReport:
+def _boundary_criteria(
+    frame: DefectFrame, c: ContractionOp, lam, floor: _RegularFloor | None = None
+) -> CriteriaReport:
     """Both criteria at one boundary point for the frame's operator, base
     point and policy.
 
     :func:`_gap_operators` makes N_lambda, N_{z0} and N_{1/conj(z0)} equally
     dimensional, so C - link is square and its smallest singular value
     decides both the kernel and the range; the M spaces are then equally
-    dimensional as well.  The vectors of C - link are computed only on a
-    hit, for the witness.
+    dimensional as well, and their projection condition is read off q_min
+    without an SVD (:func:`_sigma_pm`).  The vectors of C - link are
+    computed only on a hit, for the witness.  ``floor`` is the regular-type
+    bound :func:`arc_scan` carries along its samples; the standalone criteria
+    and ``verify`` pass none and measure every point.
     """
     tol = frame.tol
     ext = frame.extension(c)
     lam = complex(lam)
-    ops = _gap_operators(frame, lam)
+    ops = _gap_operators(frame, lam, floor)
     diff = c.matrix - ops.link.matrix
     sigma_cw = sigma_min(diff)
     eigen = sigma_cw <= tol.eps_rank
-    cond_pm, sigma_pm = _pm_condition(frame, ops.boundary_m)
+    sigma_pm = _sigma_pm(frame, ops)
+    cond_pm = sigma_pm > tol.eps_rank
     sigma_direct = sigma_min(identity(frame.v.ambient_dim) - lam * ext.matrix)
     witness = None
     if eigen:
@@ -337,10 +415,14 @@ def arc_scan(
     samples: N_{z0}, the reflected pair, the Cayley transform and, for a
     constant family, the orthogonal extension T with all of its checks.  Per
     sample: the family value, the operators of :func:`build_gap_operators`
-    (regular type, N_lambda / M_lambda, link), the SVDs of C - link and of
-    the M-space projection, and sigma_min of E - lam T; Blaschke and
-    tabulated values get T assembled per sample from the frame's cached
-    parts.
+    (N_lambda / M_lambda by one QR, the SVDs of S and Q, the link), the SVD
+    of C - link, and sigma_min of E - lam T; Blaschke and tabulated values
+    get T assembled per sample from the frame's cached parts.  The M-space
+    condition takes no SVD (it is q_min), and the regular-type hypothesis is
+    measured only where the bound carried from the last measurement,
+    sigma' - ||domain|| |s - s'|, does not clear twice eps_rank (in practice
+    once or twice per arc).  A point the bound does not clear is measured,
+    so a failure raises the message it would raise without the bound.
     """
     t1, t2 = float(arc[0]), float(arc[1])
     if not (0.0 <= t1 < t2 <= TWO_PI):
@@ -356,6 +438,7 @@ def arc_scan(
     frame = DefectFrame.ensure(frame, v, z0, tol)
 
     step = (t2 - t1) / (n_samples + 1)
+    floor = _RegularFloor()
     samples: list[ArcSample] = []
     previous_value: np.ndarray | None = None
     for j in range(n_samples):
@@ -377,7 +460,7 @@ def arc_scan(
         cond2 = _boundary_isometry_onto(value, tol)
 
         try:
-            report = _boundary_criteria(frame, value, lam)
+            report = _boundary_criteria(frame, value, lam, floor)
         except PreconditionViolated as exc:
             raise PreconditionViolated(f"sample {j} at angle {angle:.6f}: {exc}") from exc
 

@@ -25,8 +25,8 @@ from .numerics import (
     _LIFT,
     _SQRT_HUGE,
     _TOL_CAP,
+    _gram_residual,
     _mgs,
-    max_abs,
     orthogonal_complement,
     sigma_min,
     singular_values,
@@ -109,11 +109,10 @@ class IsometricOperator:
         d = dom.shape[1]
         if d > n:
             raise ValueError("domain dimension exceeds ambient dimension")
-        if d:
-            if max_abs(dom.conj().T @ dom - np.eye(d)) > _TOL_CAP:
-                raise ValueError("domain basis is not orthonormal")
-            if max_abs(img.conj().T @ img - np.eye(d)) > _TOL_CAP:
-                raise ValueError("images are not isometric (Gram defect)")
+        if _gram_residual(dom) > _TOL_CAP:
+            raise ValueError("domain basis is not orthonormal")
+        if _gram_residual(img) > _TOL_CAP:
+            raise ValueError("images are not isometric (Gram defect)")
 
     @property
     def domain_dim(self) -> int:

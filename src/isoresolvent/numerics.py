@@ -55,6 +55,16 @@ TWO_PI = 2.0 * math.pi
 # a last-resort sanity cap when no policy is in scope.
 _TOL_CAP = 1e-3
 
+# Largest subspace gap ||P1 - P2|| at which a parameter's stored spaces count
+# as the defect spaces of a frame.  A structural cap, not a policy cutoff:
+# every parameter the package builds (scenario parameters included) holds
+# the frame's own Subspace objects and passes by identity, so the gap is
+# measured only for spaces a library user built.  Those are another
+# orthonormal basis of the same span, equal to roundoff amplified by the
+# conditioning of the defect columns; 1e-6 admits that under any policy and
+# rejects a basis tilted off the defect space by a visible angle.
+_SPACE_GAP = 1e-6
+
 
 class SingularOperator(Exception):
     """Inversion was requested for a numerically singular operator.
@@ -120,6 +130,20 @@ def max_abs(m) -> float:
     """Entrywise max-abs; the operator-equality metric of the policy."""
     m = np.asarray(m)
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def _gram_residual(basis: np.ndarray) -> float:
+    """max |B^H B - I|, how far the columns of B are from orthonormal.
+
+    Finite entries can still overflow the Gram matrix (to inf, or NaN where
+    infinities cancel): that reads +inf, without a floating-point warning.
+    """
+    k = basis.shape[1]
+    if not k:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(basis.conj().T @ basis - np.eye(k))
+    return residual if residual == residual else math.inf
 
 
 def singular_values(m) -> np.ndarray:
@@ -254,11 +278,8 @@ class Subspace:
             )
         if basis.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        k = basis.shape[1]
-        if k:
-            gram = basis.conj().T @ basis
-            if max_abs(gram - np.eye(k)) > _TOL_CAP:
-                raise ValueError("basis columns are not orthonormal")
+        if _gram_residual(basis) > _TOL_CAP:
+            raise ValueError("basis columns are not orthonormal")
 
     @property
     def dim(self) -> int:

@@ -67,16 +67,24 @@ def random_isometry(
     return IsometricOperator(n, domain, image)
 
 
+_NORM_RANGE = (0.2, 0.95)
+
+
 def random_contraction_matrix(
-    rng: np.random.Generator, rows: int, cols: int, norm_range=(0.2, 0.95)
+    rng: np.random.Generator, rows: int, cols: int, norm_range=_NORM_RANGE
 ) -> np.ndarray:
     """Random strict contraction of the given shape with norm in norm_range."""
+    return _scaled_contraction(rng, rows, cols, norm_range)[0]
+
+
+def _scaled_contraction(rng: np.random.Generator, rows: int, cols: int, norm_range):
+    """:func:`random_contraction_matrix` and the norm it was scaled to."""
     if rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=complex)
+        return np.zeros((rows, cols), dtype=complex), 0.0
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     nrm = operator_norm(g)
     target = rng.uniform(*norm_range)
-    return g * (target / nrm)
+    return g * (target / nrm), target
 
 
 def random_parameter(
@@ -86,16 +94,19 @@ def random_parameter(
     unitary: bool = False,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> ContractionOp:
-    """Random contraction parameter between the canonical defect spaces of v."""
+    """Random contraction parameter between the canonical defect spaces of v.
+
+    A non-unitary draw passes the norm it was just scaled to as its bound,
+    so the contraction check takes no second SVD.
+    """
     frame = DefectFrame.of(v, z0, tol)
     src, dst = frame.src, frame.dst
     if unitary:
         if src.dim != dst.dim:
             raise ValueError("unitary parameter needs equal defect dimensions")
-        matrix = random_unitary(rng, src.dim)
-    else:
-        matrix = random_contraction_matrix(rng, dst.dim, src.dim)
-    return ContractionOp(src, dst, matrix)
+        return ContractionOp(src, dst, random_unitary(rng, src.dim))
+    matrix, norm = _scaled_contraction(rng, dst.dim, src.dim, _NORM_RANGE)
+    return ContractionOp(src, dst, matrix, norm)
 
 
 def random_unitary_parameter(

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import isoresolvent.numerics
 from isoresolvent import IsometricOperator
 
 
@@ -13,3 +16,18 @@ def e1() -> IsometricOperator:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch) -> Counter:
+    """Counts singular_values calls by the shape of their argument, until
+    ``monkeypatch.undo()``."""
+    shapes = Counter()
+    original = isoresolvent.numerics.singular_values
+
+    def counted(m):
+        shapes[np.shape(m)] += 1
+        return original(m)
+
+    monkeypatch.setattr(isoresolvent.numerics, "singular_values", counted)
+    return shapes

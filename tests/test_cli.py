@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isoresolvent import DEFAULT_TOL, DefectFrame, cli, extensions, numerics, resolvents
+from isoresolvent import DEFAULT_TOL, DefectFrame, cli, extensions, gap, numerics, resolvents
 from isoresolvent.cli import ScenarioError, main, parse_scenario
+from isoresolvent.numerics import sigma_min
 
 
 def e1_scenario(c=1.0, z0=(0.0, 0.0), **extra):
@@ -508,11 +509,32 @@ class TestReportBytes:
         assert written == json.dumps(strict_loads(written), indent=2) + "\n"
 
 
+EIGEN_ANGLE = 2 * math.pi - 1.0
+
+
+def eigenvector_scenario():
+    """V e1 = e^{i} e1 in C^6, isometric on span(e1..e4): the regular-type
+    hypothesis fails at lam = e^{-i}, angle EIGEN_ANGLE."""
+    rng = np.random.default_rng(2)
+    image = np.zeros((6, 4), dtype=complex)
+    image[0, 0] = np.exp(1j)
+    image[1:, 1:] = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))[0]
+    columns = lambda b: [[[x.real, x.imag] for x in col] for col in b.T]
+    return {
+        "ambient_dim": 6,
+        "domain_basis": columns(np.eye(6)[:, :4]),
+        "image_basis": columns(image),
+        "z0": [0.0, 0.0],
+        "family": {"kind": "constant", "matrix": [[[0.0, 0.0]] * 2] * 2},
+    }
+
+
 class TestShortcutsKeepBytes:
-    """The frame kept per operator and the structural floor of the inverse
-    change no byte: every command writes the same files with the same exit
-    code as with both shortcuts defeated, a fresh frame per request and an
-    SVD per inverse."""
+    """The structural shortcuts change no byte: every command writes the same
+    files with the same exit code as with all of them defeated, that is a
+    fresh frame per request, an SVD per inverse, a regular-type SVD per arc
+    sample (the floor carried along the arc ignored) and the M-space
+    projection condition taken from an explicit SVD instead of q_min."""
 
     @staticmethod
     def run(tmp_path, capsys, path, command):
@@ -530,6 +552,8 @@ class TestShortcutsKeepBytes:
         [
             pytest.param(e1_scenario(0.5, z0=(0.3, 0.1)), id="e1-z0"),
             pytest.param(random_scenario(16, 12, seed=11), id="n16"),
+            pytest.param(random_scenario(9, 6, (-0.2, 0.35), seed=4), id="n9-z0"),
+            pytest.param(eigenvector_scenario(), id="eig-mid"),
         ],
     )
     @pytest.mark.parametrize(
@@ -539,16 +563,17 @@ class TestShortcutsKeepBytes:
             ["resolvent", "--zeta", "0.5", "0.1"],
             ["resolvent", "--zeta", "-1.5", "2.0"],
             ["gap-scan", "--arc", "0.5", "2.5", "--samples", "5"],
+            ["gap-scan", "--arc", repr(EIGEN_ANGLE - 0.5), repr(EIGEN_ANGLE + 0.5), "--samples", "9"],
             ["verify", "--seed", "3"],
         ],
-        ids=lambda c: "-".join(c[:2]) + ("-ext" if "-1.5" in c else ""),
+        ids=lambda c: "-".join(c[:2]) + ("-ext" if "-1.5" in c else "") + ("-dip" if "9" in c else ""),
     )
     def test_same_bytes_without_shortcuts(self, tmp_path, capsys, monkeypatch, scenario, command):
         path = write_scenario(tmp_path, scenario, "scenario.in")
         shipped = self.run(tmp_path, capsys, path, command)
         assert shipped[3]
 
-        used = {"fresh frames": 0, "inverses": 0}
+        used = {"fresh frames": 0, "inverses": 0, "M-space SVDs": 0}
 
         def fresh(cls, v, z0=0j, tol=DEFAULT_TOL):
             used["fresh frames"] += 1
@@ -560,12 +585,19 @@ class TestShortcutsKeepBytes:
             used["inverses"] += 1
             return original(m, tol, context)
 
+        def svd_pm(frame, ops):
+            used["M-space SVDs"] += 1
+            return sigma_min(frame.reflected.m.basis.conj().T @ ops.boundary_m.basis)
+
         monkeypatch.setattr(DefectFrame, "of", classmethod(fresh))
         for module in (numerics, extensions, resolvents):
             monkeypatch.setattr(module, "guarded_inverse", no_floor)
+        monkeypatch.setattr(gap._RegularFloor, "clears", lambda self, s, tol: False)
+        monkeypatch.setattr(gap, "_sigma_pm", svd_pm)
         defeated = self.run(tmp_path, capsys, path, command)
         assert used["fresh frames"]
         assert used["inverses"] or command[0] == "gap-scan"  # no inverse in a scan at z0 = 0
+        assert used["M-space SVDs"] or command[0] == "resolvent" or defeated[0] == 2
         assert defeated == shipped
 
 
@@ -605,3 +637,131 @@ class TestArgumentFuzz:
             strict_loads(captured.out)
         if code == 1:
             assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+# Scenario documents: a valid base with some fields replaced by arbitrary
+# JSON, by well-shaped numeric arrays of the wrong size or value, or deleted.
+_DELETE = object()
+_json_numbers = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.5, -0.5, 1e308, -1e308, 5e-324, 1e-300, 1e-12, 2.0**-1074]),
+)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _json_numbers, st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=16,
+)
+_pairs = st.lists(_json_numbers, min_size=2, max_size=2)
+_pair_arrays = st.lists(st.lists(_pairs, max_size=4), max_size=4)
+_FIELDS = (
+    "ambient_dim", "domain_basis", "image_basis", "z0", "family", "toler",
+    "family.kind", "family.matrix", "family.a", "family.points", "family.points.0.zeta",
+    "family.points.0.matrix", "toler.eps_rank", "toler.eps_eq", "toler.eps_unit",
+)
+
+
+def _fuzz_bases():
+    blaschke = e1_scenario(z0=(0.2, -0.1))
+    blaschke["family"] = {"kind": "blaschke", "a": [0.3, 0.1], "matrix": [[[0.0, 1.0]]]}
+    table = e1_scenario()
+    table["family"] = {
+        "kind": "table",
+        "points": [{"zeta": [math.cos(t), math.sin(t)], "matrix": [[[1.0, 0.0]]]} for t in (0.5 + k / 3 for k in range(1, 4))],
+    }
+    return [e1_scenario(0.5), e1_scenario(1.0, z0=(0.3, 0.1), toler={"eps_rank": 1e-12}), blaschke, table,
+            random_scenario(4, 2, (0.1, 0.2), seed=1)]
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+
+def _mutate(doc, path, value):
+    """Set (or with _DELETE remove) the field at a dotted path, when it exists."""
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        if isinstance(node, list) and key.isdigit() and int(key) < len(node):
+            node = node[int(key)]
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        else:
+            return
+    if not isinstance(node, dict):
+        return
+    if value is _DELETE:
+        node.pop(last, None)
+    else:
+        node[last] = value
+
+
+@st.composite
+def _scenario_texts(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(st.binary(max_size=12), _json_values.map(json.dumps)))
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(st.one_of(_json_values, _pairs, _pair_arrays, st.just(_DELETE)))
+        _mutate(doc, draw(st.sampled_from(_FIELDS)), value)
+    return json.dumps(doc)
+
+
+class TestScenarioFuzz:
+    """Any scenario file ends in a documented exit code with at most one
+    ``error:`` line on stderr and strict JSON on stdout, never a traceback."""
+
+    @given(
+        text=_scenario_texts(),
+        command=st.sampled_from(
+            [
+                ["defect", "--zeta", "0.3", "0.2"],
+                ["resolvent", "--zeta", "0.5", "-0.1"],
+                ["resolvent", "--zeta", "-1.5", "2.0"],
+                ["resolvent", "--grid", "2", "--out"],
+                ["gap-scan", "--arc", "0.5", "2.5", "--samples", "3", "--continuity-bound", "1.0"],
+            ]
+        ),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_on_arbitrary_scenarios(self, tmp_path, capsys, text, command):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "fuzz-report.json"
+        argv = [str(path), *command] + ([str(out)] if command[-1] == "--out" else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if captured.out:
+            strict_loads(captured.out)
+        if out.exists():
+            strict_loads(out.read_text())
+        if code == 1:
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        else:
+            assert captured.err == ""
+
+    @pytest.mark.parametrize("z0", [(5e-324, 5e-324), (0.0, 3e-309)])
+    @pytest.mark.parametrize("command", [["resolvent", "--zeta", "0.5", "-0.1"], ["verify"]])
+    def test_base_point_with_overflowing_reflection(self, tmp_path, capsys, z0, command):
+        # 1/conj(z0) is not a float: an input error with one line on stderr,
+        # no numpy overflow warnings from the formulas that divide by z0.
+        code = main([write_scenario(tmp_path, e1_scenario(0.5, z0=z0)), *command])
+        assert code == 1
+        assert capsys.readouterr().err == "error: base point is so small that 1/conj(z0) leaves the float range\n"
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [[1.5086297419420916e294, -879.0], [0, 0]],  # Gram entry inf
+            [[1e200, 1e200], [1e200, -1e200]],  # Gram entry NaN: inf - inf
+        ],
+    )
+    def test_basis_whose_gram_matrix_overflows(self, tmp_path, capsys, column):
+        # The Gram matrix overflows: no numpy warning may reach stderr, and a
+        # NaN residual (the second basis) must not pass as "not above eps_unit".
+        doc = e1_scenario(0.5)
+        doc["domain_basis"] = [column]
+        assert main([write_scenario(tmp_path, doc), "defect"]) == 1
+        assert capsys.readouterr().err == "error: domain basis is not orthonormal (Gram residual inf)\n"

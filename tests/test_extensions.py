@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from isoresolvent import (
     DEFAULT_TOL,
+    ContractionOp,
+    DefectFrame,
     FamilyEvaluationError,
     IsometricOperator,
     ReconstructionMismatch,
@@ -19,6 +21,7 @@ from isoresolvent import (
     operator_norm,
     orthogonal_extension,
     recover_parameter,
+    subspace_gap,
     table_family,
     validate_family,
 )
@@ -216,3 +219,69 @@ class TestFamilies:
         fam = constant_family(defect_parameter(e1, 0.3, [[0.5]]), 0.0)
         report = validate_family(fam, e1, disk_grid(4))
         assert not report.ok
+
+
+class TestNormBound:
+    """A proven norm bound spares ContractionOp its contraction SVD."""
+
+    def test_bound_below_the_cap_skips_the_svd(self, e1, svd_shapes):
+        src, dst = defect_spaces(e1, 0.0).n, defect_spaces(e1, math.inf).n
+        c = ContractionOp(src, dst, [[0.5]], 0.5)
+        assert not svd_shapes and c.norm_bound == 0.5
+        plain = ContractionOp(src, dst, [[0.5]])
+        assert svd_shapes == {(1, 1): 1} and plain.norm_bound == 0.5
+
+    @pytest.mark.parametrize("bound", [1.5, math.nan, math.inf])
+    def test_bound_that_does_not_clear_measures(self, e1, bound):
+        src, dst = defect_spaces(e1, 0.0).n, defect_spaces(e1, math.inf).n
+        assert ContractionOp(src, dst, [[0.5]], bound).norm_bound == 0.5
+        with pytest.raises(ValueError, match="not a contraction"):
+            ContractionOp(src, dst, [[1.2]], bound)
+        with pytest.raises(ValueError, match="does not match"):
+            ContractionOp(src, dst, [[0.5, 0.5]], bound)
+
+    def test_random_parameter_takes_one_svd(self, rng, monkeypatch, svd_shapes):
+        # The sampler's SVD scales the draw; the contraction check takes none.
+        operators = [random_isometry(rng, n_max=6) for _ in range(20)]
+        svd_shapes.clear()
+        params = [random_parameter(rng, v, 0.2j) for v in operators]
+        assert sum(svd_shapes.values()) == sum(0 not in c.matrix.shape for c in params)
+        monkeypatch.undo()
+        for c in params:
+            assert c.norm_bound == pytest.approx(operator_norm(c.matrix), rel=1e-12)
+
+    def test_blaschke_values_take_no_svd(self, rng, monkeypatch, svd_shapes):
+        v = random_isometry(rng, n_max=7, n_min=5, allow_full=False)
+        fam = blaschke_family(0.4 - 0.3j, random_unitary_parameter(rng, v), 0.0)
+        svd_shapes.clear()
+        values = [fam.value_at(zeta) for zeta in (0.0, 0.5j, np.exp(0.4j), 0.9 * np.exp(2.0j))]
+        assert not svd_shapes
+        monkeypatch.undo()
+        for value in values:
+            assert value.norm_bound == pytest.approx(operator_norm(value.matrix), rel=1e-12)
+        with pytest.raises(ValueError, match="not a contraction"):
+            fam.value_at(3.0)  # |b| > 1 off the disk: measured, as without a bound
+
+
+class TestSpaceGap:
+    """Spaces a user built pass the space check within a 1e-6 subspace gap."""
+
+    @pytest.mark.parametrize("angle, accepted", [(1e-7, True), (1e-5, False)])
+    def test_rotated_basis(self, rng, angle, accepted):
+        from isoresolvent import Subspace, orthogonal_complement
+
+        v = random_isometry(rng, n_max=7, n_min=6, allow_full=False, allow_empty=False)
+        frame = DefectFrame.of(v, 0.0)
+        src = frame.src.basis.copy()
+        w = orthogonal_complement(frame.src).basis[:, 0]
+        src[:, 0] = math.cos(angle) * src[:, 0] + math.sin(angle) * w
+        rotated = Subspace(v.ambient_dim, src)
+        assert abs(subspace_gap(rotated, frame.src) - math.sin(angle)) <= 1e-9
+        c = ContractionOp(rotated, frame.dst, np.zeros((frame.dst.dim, frame.src.dim)))
+        if accepted:
+            assert frame.space_violations(c) == []
+            orthogonal_extension(v, 0.0, c)
+        else:
+            assert frame.space_violations(c) == ["parameter source does not match the defect space at z0"]
+            with pytest.raises(ValueError, match="parameter source"):
+                orthogonal_extension(v, 0.0, c)

@@ -273,3 +273,136 @@ class TestArcScan:
             assert spectral_gap == expected
             scan = arc_scan(e1, fam, arc, 0.0, 9)
             assert scan.certified == expected
+
+
+def pm_reference(frame, lam):
+    """The M-space projection condition's singular value as an explicit SVD:
+    P onto M at the reflected base point, restricted to M_lambda."""
+    from isoresolvent.numerics import sigma_min
+
+    m_lam = defect_spaces(frame.v, lam, frame.tol).m
+    return sigma_min(frame.reflected.m.basis.conj().T @ m_lam.basis)
+
+
+class TestMSpaceCondition:
+    """sigma_pm is read off q_min; an SVD of the M spaces agrees."""
+
+    @staticmethod
+    def operators(rng):
+        from isoresolvent.sampling import random_unitary
+
+        for _ in range(80):
+            yield random_isometry(rng, n_max=9)
+        for n in (1, 4, 9):  # d = 0 and d = n
+            yield IsometricOperator(n, np.zeros((n, 0)), np.zeros((n, 0)))
+            yield IsometricOperator(n, np.eye(n), random_unitary(rng, n))
+
+    @pytest.mark.parametrize("z0", [0j, 0.35 - 0.2j])
+    def test_agrees_with_the_svd_of_the_m_spaces(self, rng, z0):
+        from isoresolvent import DefectFrame
+        from isoresolvent.gap import _boundary_criteria
+
+        compared = {"empty domain": 0, "full domain": 0, "partial": 0}
+        for v in self.operators(rng):
+            frame = DefectFrame.of(v, z0)
+            c = random_parameter(rng, v, z0)
+            for _ in range(3):
+                lam = regular_boundary_point(rng, v)
+                try:
+                    rep = _boundary_criteria(frame, c, lam)
+                except PreconditionViolated:
+                    continue
+                ref = pm_reference(frame, lam)
+                if v.domain_dim == 0:
+                    assert rep.sigma_pm == ref == math.inf
+                    compared["empty domain"] += 1
+                    continue
+                assert abs(rep.sigma_pm - ref) <= 1e-13
+                assert rep.cond_pm == (ref > DEFAULT_TOL.eps_rank)
+                if v.domain_dim == v.ambient_dim:
+                    assert rep.sigma_pm == 1.0
+                    compared["full domain"] += 1
+                else:
+                    compared["partial"] += 1
+        assert compared["empty domain"] >= 9 and compared["full domain"] >= 9
+        assert compared["partial"] >= 100
+
+
+class TestRegularFloor:
+    """arc_scan carries the regular-type lower bound from sample to sample."""
+
+    @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
+    def test_one_direct_svd_per_sample(self, z0, svd_shapes):
+        # V = U on span(e_1..e_12) in C^16 with a constant unitary parameter:
+        # n x n is sigma_direct, n x d the regular-type map, d x d the M-space
+        # projection and k x k the link work (S, Q, C - link).
+        from isoresolvent import DefectFrame
+        from isoresolvent.sampling import random_unitary
+
+        n, d, k, samples = 16, 12, 4, 16
+        u = random_unitary(np.random.default_rng(3), n)
+        v = IsometricOperator(n, np.eye(n)[:, :d], u[:, :d])
+        fam = constant_family(random_unitary_parameter(np.random.default_rng(4), v, z0), z0)
+        frame = DefectFrame.of(v, z0)
+        frame.extension(fam.constant)
+        frame.transform
+        svd_shapes.clear()
+        report = arc_scan(v, fam, (0.4, 1.6), z0, samples, frame=frame)
+        assert len(report.samples) == samples
+        assert svd_shapes[(n, n)] == samples
+        assert 1 <= svd_shapes[(n, d)] <= 3
+        assert svd_shapes[(d, d)] == 0
+        assert svd_shapes[(k, k)] == 3 * samples
+        assert sum(svd_shapes.values()) == samples + svd_shapes[(n, d)] + 3 * samples
+
+    @staticmethod
+    def eigenvector_operator(theta=1.0):
+        """V e1 = e^{i theta} e1 in C^6, isometric on span(e1..e4): the
+        regular-type hypothesis fails at lam = e^{-i theta}."""
+        n, d = 6, 4
+        rng = np.random.default_rng(2)
+        img = np.zeros((n, d), dtype=complex)
+        img[0, 0] = np.exp(1j * theta)
+        img[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, d - 1)) + 1j * rng.standard_normal((n - 1, d - 1)))[0]
+        return IsometricOperator(n, np.eye(n)[:, :d], img)
+
+    @pytest.mark.parametrize("z0", [0j, -0.25 + 0.1j])
+    def test_dip_mid_arc_raises_the_measured_message(self, monkeypatch, z0):
+        from isoresolvent import gap
+
+        v = self.eigenvector_operator()
+        eig = 2 * math.pi - 1.0
+        fam = constant_family(defect_parameter(v, z0, np.zeros((2, 2))), z0)
+        arc = (eig - 0.5, eig + 0.5)  # the middle of nine samples is the eigenvalue
+        calls = {"regular_type": 0}
+        original = gap.regular_type
+
+        def counted(*args):
+            calls["regular_type"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(gap, "regular_type", counted)
+        with pytest.raises(PreconditionViolated) as carried:
+            arc_scan(v, fam, arc, z0, 9)
+        assert calls["regular_type"] < 5  # samples 1-3 cleared by the floor
+        monkeypatch.setattr(gap._RegularFloor, "clears", lambda self, s, tol: False)
+        with pytest.raises(PreconditionViolated) as measured:
+            arc_scan(v, fam, arc, z0, 9)
+        assert str(carried.value) == str(measured.value)
+        assert str(carried.value).startswith("sample 4 at angle 5.283185: regular-type hypothesis fails")
+
+    def test_floor_slope_bounds_a_loose_domain_basis(self):
+        # A domain basis orthonormal only to 1e-4 has ||domain|| above 1; the
+        # floor's slope covers it, and the floor stays below the measurement.
+        from isoresolvent import regular_type
+        from isoresolvent.gap import _RegularFloor
+
+        d = 3
+        dom = np.eye(5)[:, :d] * (1 + 5e-5)
+        v = IsometricOperator(5, dom, np.eye(5)[:, 1 : d + 1])
+        floor = _RegularFloor()
+        floor.anchor(v, 1.0, regular_type(v, 1.0).sigma_min)
+        assert floor.slope >= np.linalg.norm(dom, 2)
+        for t in np.linspace(-3.0, 3.0, 61):
+            s = np.exp(1j * t)
+            assert regular_type(v, s).sigma_min >= floor.sigma - floor.slope * abs(s - 1.0) - floor.slack

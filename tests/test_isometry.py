@@ -35,6 +35,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IsometricOperator(2, [[1], [0]], [[0.5], [0]])
 
+    @pytest.mark.parametrize("column", [[1.5e294, 0], [1e200 + 1e200j, 1e200 - 1e200j]])
+    def test_rejects_bases_whose_gram_matrix_overflows(self, column):
+        # The Gram entry overflows to inf, or to NaN where two infinities
+        # cancel; NaN must not pass as "not above the cap".
+        cols = [[column[0]], [column[1]]]
+        with pytest.raises(ValueError, match="domain basis is not orthonormal"):
+            IsometricOperator(2, cols, [[1], [0]])
+        with pytest.raises(ValueError, match="images are not isometric"):
+            IsometricOperator(2, [[1], [0]], cols)
+
     def test_apply_outside_domain_rejected(self, e1):
         with pytest.raises(ValueError):
             e1.apply([0, 1])
