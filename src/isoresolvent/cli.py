@@ -56,14 +56,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; ``frame`` holds the defect geometry of
-    (operator, z0) under ``tol`` that every command reuses."""
+    """A validated scenario.  The defect geometry of (operator, z0) under
+    ``tol`` is kept on the operator (:meth:`DefectFrame.of`), so every
+    command reuses the frame that parsing built."""
 
     operator: IsometricOperator
     family: ParameterFamily
     z0: complex
     tol: TolerancePolicy
-    frame: DefectFrame
 
 
 def _complex_from(doc, where: str) -> complex:
@@ -131,7 +131,7 @@ def _basis_from_columns(doc, n: int, where: str) -> np.ndarray:
     return np.asarray(cols, dtype=complex).T
 
 
-def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = None) -> Scenario:
+def parse_scenario(text: str | bytes) -> Scenario:
     """Parse and fully validate a scenario document.
 
     The domain basis must already be orthonormal; it is rejected, not
@@ -149,9 +149,7 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
             raise ScenarioError(f"missing required field {key!r}")
 
     toler = doc.get("toler")
-    if tol_override is not None:
-        tol = tol_override
-    elif toler is not None:
+    if toler is not None:
         if not isinstance(toler, dict):
             raise ScenarioError("toler must be an object")
         try:
@@ -190,13 +188,12 @@ def parse_scenario(text: str | bytes, tol_override: TolerancePolicy | None = Non
     if abs(z0) >= 1.0:
         raise ScenarioError("z0 must lie strictly inside the unit disk")
 
-    frame = DefectFrame.of(operator, z0, tol)
-    family = _parse_family(doc["family"], frame)
+    family = _parse_family(doc["family"], DefectFrame.of(operator, z0, tol))
 
-    report = validate_family(family, operator, disk_grid(12), tol, frame)
+    report = validate_family(family, operator, disk_grid(12), tol)
     if not report.ok:
         raise ScenarioError("family validation failed: " + "; ".join(report.violations))
-    return Scenario(operator, family, z0, tol, frame)
+    return Scenario(operator, family, z0, tol)
 
 
 def _contraction(frame: DefectFrame, matrix: np.ndarray) -> ContractionOp:
@@ -293,7 +290,7 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[complex] | None]:
-    r = ResolventFn(scenario.operator, scenario.family, scenario.z0, scenario.tol, scenario.frame)
+    r = ResolventFn(scenario.operator, scenario.family, scenario.z0, scenario.tol)
     if args.grid is not None:
         points = disk_grid(args.grid)
         points = points + [1.0 / z.conjugate() for z in points if z != 0]
@@ -325,7 +322,6 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
             n_samples=args.samples,
             tol=scenario.tol,
             continuity_bound=args.continuity_bound,
-            frame=scenario.frame,
         )
     except PreconditionViolated as exc:
         return {"verdict": "PRECONDITION_VIOLATED", "error": str(exc)}, EXIT_VIOLATION

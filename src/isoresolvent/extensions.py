@@ -110,9 +110,6 @@ class ContractionOp:
     def ambient(self) -> np.ndarray:
         return self.dst.basis @ self.matrix @ self.src.basis.conj().T
 
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
-
 
 def defect_parameter(
     v: IsometricOperator, z0, matrix, tol: TolerancePolicy = DEFAULT_TOL
@@ -269,7 +266,8 @@ class DefectFrame:
         if abs(self.z0) >= 1.0:
             raise ValueError("base point must lie inside the unit disk")
         if self.z0 and not cmath.isfinite(1.0 / self.z0):
-            # The formulas at z0 != 0 divide by z0.
+            # The reflected point 1/conj(z0) of the defect pair must be a
+            # float; the extension formulas themselves do not divide by z0.
             raise ValueError("base point is so small that 1/conj(z0) leaves the float range")
 
     @classmethod
@@ -286,15 +284,6 @@ class DefectFrame:
             return kept[0]
         frame = cls(v, z0, tol)
         kept[:] = [frame]
-        return frame
-
-    @classmethod
-    def ensure(cls, frame, v: IsometricOperator, z0, tol: TolerancePolicy) -> "DefectFrame":
-        """``frame`` after checking it was built for (v, z0, tol), or :meth:`of`."""
-        if frame is None:
-            return cls.of(v, z0, tol)
-        if frame.v is not v or frame.z0 != complex(z0) or frame.tol != tol:
-            raise ValueError("defect frame was built for another operator, base point or policy")
         return frame
 
     @cached_property
@@ -363,8 +352,7 @@ class DefectFrame:
                 raise ValueError(str(exc)) from exc
             if operator_norm(inv) > 1.0 / (1.0 - abs(z0)) + tol.eps_eq:
                 raise ValueError("resolvent bound of the plus extension violated")
-            matrix = identity(n) / z0 + ((abs(z0) ** 2 - 1.0) / z0) * inv
-            ext = ExtensionOp(matrix, z0, c, "orthogonal")
+            ext = ExtensionOp(inv @ (plus.matrix + z0.conjugate() * identity(n)), z0, c, "orthogonal")
         residual = max_abs(ext.matrix @ self.v.domain_basis - self.v.image_basis)
         if residual > 10 * tol.eps_eq:
             raise ValueError(f"extension does not extend V within 10 * eps_eq (residual {residual:.3e})")
@@ -380,7 +368,7 @@ class DefectFrame:
             inv = guarded_inverse(
                 identity(n) - z0 * t.matrix, tol, "parameter recovery", floor=1.0 - abs(z0) * t.norm
             )
-            plus_matrix = -identity(n) / z0 + ((1.0 - abs(z0) ** 2) / z0) * inv
+            plus_matrix = inv @ (t.matrix - z0.conjugate() * identity(n))
         w = self.transform
         iso_residual = max_abs(plus_matrix @ w.domain_basis - w.image_basis)
         src, dst = self.src, self.dst
@@ -407,10 +395,12 @@ def orthogonal_extension(
     """The orthogonal extension of V defined by the parameter C at z0.
 
     For z0 = 0 it coincides with the plus extension.  Otherwise it is
-    (1/z0) E + (|z0|^2 - 1)/z0 * (E + z0 T)^{-1} for the plus extension T;
-    the inverse always exists since ||T|| <= 1 and |z0| < 1, with norm at
-    most 1/(1 - |z0|).  Both that and that the result extends V within
-    10 * eps_eq are checked; a policy too tight for them raises ValueError.
+    (E + z0 T)^{-1} (T + conj(z0) E) for the plus extension T, which equals
+    (1/z0) E + (|z0|^2 - 1)/z0 * (E + z0 T)^{-1} but does not divide by z0,
+    so it keeps its accuracy as z0 -> 0.  The inverse always exists since
+    ||T|| <= 1 and |z0| < 1, with norm at most 1/(1 - |z0|).  Both that and
+    that the result extends V within 10 * eps_eq are checked; a policy too
+    tight for them raises ValueError.
     """
     return DefectFrame.of(v, z0, tol).extension(c)
 
@@ -421,10 +411,11 @@ def recover_parameter(
     """Decode the contraction parameter of an orthogonal extension at z0.
 
     Rebuilds the plus extension from t (for z0 = 0 it is t itself, otherwise
-    -(1/z0) E + (1 - |z0|^2)/z0 * (E - z0 t)^{-1}) and reads C off as the
-    compression to the defect pair at z0.  Raises ReconstructionMismatch when
-    the isometric part of the rebuilt operator does not agree with the Cayley
-    transform of V at z0, i.e. t is not an orthogonal extension of v there.
+    (E - z0 t)^{-1} (t - conj(z0) E), the inverse transform taken at -z0)
+    and reads C off as the compression to the defect pair at z0.  Raises
+    ReconstructionMismatch when the isometric part of the rebuilt operator
+    does not agree with the Cayley transform of V at z0, i.e. t is not an
+    orthogonal extension of v there.
     """
     return DefectFrame.of(v, z0, tol).recover_parameter(t)
 
@@ -440,18 +431,19 @@ def validate_family(
     v: IsometricOperator,
     grid,
     tol: TolerancePolicy = DEFAULT_TOL,
-    frame: DefectFrame | None = None,
 ) -> FamilyValidation:
     """Check a parameter family against an operator over a sample grid.
 
     Verifies the family acts between the defect spaces of v at its base
-    point and that every sampled value is a contraction.  A tabulated family
+    point and that every sampled value is a contraction, by the
+    ``norm_bound`` the value carries (its measured norm unless its maker
+    proved one), so a constant family takes no SVD here.  A tabulated family
     is sampled at its own points instead of ``grid``, the only points where
     it has values.  Blaschke families additionally get their factor checked
     to be unimodular on the circle, which the boundary isometry condition of
     the gap criteria relies on.  Violations are reported, never raised.
     """
-    violations = DefectFrame.ensure(frame, v, fam.z0, tol).space_violations(fam, "family")
+    violations = DefectFrame.of(v, fam.z0, tol).space_violations(fam, "family")
     if fam.kind == "table":
         grid = [point for point, _ in fam.table]
     for zeta in grid:
@@ -460,9 +452,8 @@ def validate_family(
         except FamilyEvaluationError as exc:
             violations.append(str(exc))
             continue
-        nrm = value.norm()
-        if nrm > 1.0 + tol.eps_unit:
-            violations.append(f"value at {complex(zeta)!r} has norm {nrm:.6f} > 1")
+        if value.norm_bound > 1.0 + tol.eps_unit:
+            violations.append(f"value at {complex(zeta)!r} has norm {value.norm_bound:.6f} > 1")
     if fam.kind == "blaschke":
         a = fam.blaschke_a
         for k in range(8):

@@ -370,16 +370,12 @@ class GapReport:
 
 
 def _boundary_isometry_onto(c: ContractionOp, tol: TolerancePolicy) -> bool:
+    """Whether C is unitary: both C^H C and C C^H are the identity within eps_unit."""
     m = c.matrix
-    p, q = m.shape
-    if p != q:
-        return False
-    if p == 0:
-        return True
-    eye = np.eye(p)
     return (
-        max_abs(m.conj().T @ m - eye) <= tol.eps_unit
-        and max_abs(m @ m.conj().T - eye) <= tol.eps_unit
+        m.shape[0] == m.shape[1]
+        and _gram_residual(m) <= tol.eps_unit
+        and _gram_residual(m.conj().T) <= tol.eps_unit
     )
 
 
@@ -391,7 +387,6 @@ def arc_scan(
     n_samples: int = 9,
     tol: TolerancePolicy = DEFAULT_TOL,
     continuity_bound: float | None = None,
-    frame: DefectFrame | None = None,
 ) -> GapReport:
     """Certify a spectral gap across an open arc by sampling its conditions.
 
@@ -411,7 +406,7 @@ def arc_scan(
     Raises PreconditionViolated (tagged with the sample index) when the
     regular-type hypothesis breaks at a sample.
 
-    Per frame (``frame``, or one built for (v, z0, tol)), shared by all
+    Per frame (:meth:`DefectFrame.of` at (v, z0, tol)), shared by all
     samples: N_{z0}, the reflected pair, the Cayley transform and, for a
     constant family, the orthogonal extension T with all of its checks.  Per
     sample: the family value, the operators of :func:`build_gap_operators`
@@ -435,7 +430,7 @@ def arc_scan(
     if fam.kind == "table" and continuity_bound is None:
         raise ValueError("tabulated families need an explicit continuity bound")
     cont_label = "structural" if fam.kind in ("constant", "blaschke") else "sampled-modulus"
-    frame = DefectFrame.ensure(frame, v, z0, tol)
+    frame = DefectFrame.of(v, z0, tol)
 
     step = (t2 - t1) / (n_samples + 1)
     floor = _RegularFloor()

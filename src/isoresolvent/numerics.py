@@ -402,7 +402,7 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
         raise ValueError("unitary_eig requires a square matrix")
     if n == 0:
         return UnitarySpectralData(0, ())
-    if max_abs(u.conj().T @ u - identity(n)) > tol.eps_unit:
+    if _gram_residual(u) > tol.eps_unit:
         raise NonUnitaryOperator("input is not unitary within eps_unit")
     for alpha in _SPLIT:
         w = (1.0 - 1j * alpha) * u

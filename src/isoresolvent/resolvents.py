@@ -100,23 +100,23 @@ def inin(
 class ResolventFn:
     """A generalized resolvent: operator, parameter family, and base point.
 
-    Every evaluation runs under ``tol``.  The defect frame of (v, z0) under
-    that policy is built once (or passed in as ``frame``) and serves every
-    value, so a constant family's extension is assembled once and each value
-    costs one inversion.
+    Every evaluation runs under ``tol``.  ``frame``, the defect frame of
+    (v, z0) under that policy from :meth:`DefectFrame.of`, is taken once and
+    serves every value, so a constant family's extension is assembled once
+    and each value costs one inversion.
     """
 
     v: IsometricOperator
     fam: ParameterFamily
     z0: complex = 0j
     tol: TolerancePolicy = DEFAULT_TOL
-    frame: DefectFrame | None = field(default=None, repr=False, compare=False)
+    frame: DefectFrame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z0", complex(self.z0))
         if self.fam.z0 != self.z0:
             raise ValueError("family base point does not match the resolvent base point")
-        frame = DefectFrame.ensure(self.frame, self.v, self.z0, self.tol)
+        frame = DefectFrame.of(self.v, self.z0, self.tol)
         object.__setattr__(self, "frame", frame)
         violations = frame.space_violations(self.fam, "family")
         if violations:

@@ -19,7 +19,6 @@ from .numerics import DEFAULT_TOL, TolerancePolicy, operator_norm
 __all__ = [
     "random_unitary",
     "random_isometry",
-    "random_contraction_matrix",
     "random_parameter",
     "random_unitary_parameter",
     "random_disk_point",
@@ -67,52 +66,38 @@ def random_isometry(
     return IsometricOperator(n, domain, image)
 
 
+# The operator norms random_parameter draws from: strict contractions, away
+# from 0 so the parameter matters.
 _NORM_RANGE = (0.2, 0.95)
 
 
-def random_contraction_matrix(
-    rng: np.random.Generator, rows: int, cols: int, norm_range=_NORM_RANGE
-) -> np.ndarray:
-    """Random strict contraction of the given shape with norm in norm_range."""
-    return _scaled_contraction(rng, rows, cols, norm_range)[0]
-
-
-def _scaled_contraction(rng: np.random.Generator, rows: int, cols: int, norm_range):
-    """:func:`random_contraction_matrix` and the norm it was scaled to."""
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=complex), 0.0
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    nrm = operator_norm(g)
-    target = rng.uniform(*norm_range)
-    return g * (target / nrm), target
-
-
 def random_parameter(
-    rng: np.random.Generator,
-    v: IsometricOperator,
-    z0=0j,
-    unitary: bool = False,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    rng: np.random.Generator, v: IsometricOperator, z0=0j, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ContractionOp:
-    """Random contraction parameter between the canonical defect spaces of v.
+    """Random strict contraction between the canonical defect spaces of v,
+    a Ginibre matrix scaled to a norm drawn from ``_NORM_RANGE``.
 
-    A non-unitary draw passes the norm it was just scaled to as its bound,
-    so the contraction check takes no second SVD.
+    The draw passes the norm it was just scaled to as its bound, so the
+    contraction check takes no second SVD.
     """
     frame = DefectFrame.of(v, z0, tol)
     src, dst = frame.src, frame.dst
-    if unitary:
-        if src.dim != dst.dim:
-            raise ValueError("unitary parameter needs equal defect dimensions")
-        return ContractionOp(src, dst, random_unitary(rng, src.dim))
-    matrix, norm = _scaled_contraction(rng, dst.dim, src.dim, _NORM_RANGE)
-    return ContractionOp(src, dst, matrix, norm)
+    if src.dim == 0 or dst.dim == 0:
+        return ContractionOp(src, dst, np.zeros((dst.dim, src.dim), dtype=complex), 0.0)
+    g = rng.standard_normal((dst.dim, src.dim)) + 1j * rng.standard_normal((dst.dim, src.dim))
+    target = rng.uniform(*_NORM_RANGE)
+    return ContractionOp(src, dst, g * (target / operator_norm(g)), target)
 
 
 def random_unitary_parameter(
     rng: np.random.Generator, v: IsometricOperator, z0=0j, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ContractionOp:
-    return random_parameter(rng, v, z0, unitary=True, tol=tol)
+    """Random unitary parameter; the defect spaces of v must have equal dimensions."""
+    frame = DefectFrame.of(v, z0, tol)
+    src, dst = frame.src, frame.dst
+    if src.dim != dst.dim:
+        raise ValueError("unitary parameter needs equal defect dimensions")
+    return ContractionOp(src, dst, random_unitary(rng, src.dim))
 
 
 def random_disk_point(rng: np.random.Generator, r_min: float = 0.0, r_max: float = 0.9) -> complex:
@@ -126,26 +111,23 @@ def random_boundary_point(rng: np.random.Generator) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def regular_boundary_point(
-    rng: np.random.Generator,
-    v: IsometricOperator,
-    margin: float = REGULAR_MARGIN,
-    max_tries: int = 200,
-) -> complex:
-    """Boundary point whose circle-inverse is of regular type for v with a
-    quantitative margin, so the eps_rank cutoffs downstream are meaningful."""
-    for _ in range(max_tries):
+def regular_boundary_point(rng: np.random.Generator, v: IsometricOperator) -> complex:
+    """Boundary point whose circle-inverse is of regular type for v with the
+    margin ``REGULAR_MARGIN``, so the eps_rank cutoffs downstream are
+    meaningful; gives up after 200 draws."""
+    for _ in range(200):
         lam = random_boundary_point(rng)
-        if regular_type(v, lam.conjugate()).sigma_min > margin:
+        if regular_type(v, lam.conjugate()).sigma_min > REGULAR_MARGIN:
             return lam
     raise RuntimeError("could not draw a regular boundary point")
 
 
-def disk_grid(count: int, radius: float = 0.9) -> list[complex]:
-    """Deterministic interior grid: increasing radii on a sweeping angle."""
+def disk_grid(count: int) -> list[complex]:
+    """Deterministic interior grid: increasing radii, up to 0.9, on a
+    sweeping angle."""
     out = []
     for k in range(count):
-        r = radius * (k + 1) / (count + 1)
+        r = 0.9 * (k + 1) / (count + 1)
         theta = 2.0 * math.pi * k / count
         out.append(r * complex(math.cos(theta), math.sin(theta)))
     return out

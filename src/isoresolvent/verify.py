@@ -21,7 +21,7 @@ from .extensions import (
     orthogonal_extension,
     validate_family,
 )
-from .gap import _boundary_criteria, surjectivity_criterion
+from .gap import eigen_criterion, surjectivity_criterion
 from .isometry import (
     IsometricOperator,
     decompositions,
@@ -85,11 +85,11 @@ def run_property_suite(
     for _ in range(10):
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
-        c = sampling.random_parameter(rng, vv, zz)
+        c = sampling.random_parameter(rng, vv, zz, tol)
         r_z = ResolventFn(vv, constant_family(c, zz), zz, tol)
         frame_0 = DefectFrame.of(vv, 0j, tol)
         f0 = frame_0.recover_parameter(r_z.frame.extension(c))
-        r_0 = ResolventFn(vv, constant_family(f0, 0.0), 0.0, tol, frame_0)
+        r_0 = ResolventFn(vv, constant_family(f0, 0.0), 0.0, tol)
         for zeta in sampling.disk_grid(6):
             a = r_z.interior(zeta)
             b = r_0.interior(zeta)
@@ -104,7 +104,7 @@ def run_property_suite(
     for _ in range(10):
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.15, 0.6)
-        c = sampling.random_parameter(rng, vv, zz)
+        c = sampling.random_parameter(rng, vv, zz, tol)
         famz = constant_family(c, zz)
         w = DefectFrame.of(vv, zz, tol).transform
         fam_inner = constant_family(c, 0.0)
@@ -158,14 +158,14 @@ def run_property_suite(
         frame0 = DefectFrame.of(vv, 0j, tol)
         if frame0.src.dim == 0:
             continue
-        c = sampling.random_unitary_parameter(rng, vv)
+        c = sampling.random_unitary_parameter(rng, vv, tol=tol)
         t = frame0.plus_extension(c)
         eigs = np.linalg.eigvals(t.matrix)
         for mu in eigs:
             lam = complex(mu).conjugate()
             if regular_type(vv, complex(mu), tol).sigma_min <= sampling.REGULAR_MARGIN:
                 continue
-            if not _boundary_criteria(frame0, c, lam).eigen:
+            if not eigen_criterion(vv, c, lam, tol).is_eigenvalue:
                 disagreements += 1
         for _ in range(5):
             lam = sampling.random_boundary_point(rng)
@@ -174,7 +174,7 @@ def run_property_suite(
                 continue
             if min(abs(np.angle(np.asarray(eigs) / mu))) < sampling.REGULAR_MARGIN:
                 continue
-            if _boundary_criteria(frame0, c, lam).eigen:
+            if eigen_criterion(vv, c, lam, tol).is_eigenvalue:
                 disagreements += 1
     results.append(_result("eigenvalue_criterion_agreement", disagreements == 0, f"{disagreements} disagreements"))
 
@@ -182,7 +182,7 @@ def run_property_suite(
     disagreements = 0
     for _ in range(25):
         vv = sampling.random_isometry(rng, n_max=6)
-        c = sampling.random_parameter(rng, vv)
+        c = sampling.random_parameter(rng, vv, tol=tol)
         lam = sampling.regular_boundary_point(rng, vv)
         rep = surjectivity_criterion(vv, c, lam, tol)
         if rep.surjective != rep.crosscheck_rank:
@@ -210,7 +210,7 @@ def run_property_suite(
         frame = DefectFrame.of(vv, 0j, tol)
         if frame.src.dim != frame.dst.dim:
             continue
-        c = sampling.random_unitary_parameter(rng, vv)
+        c = sampling.random_unitary_parameter(rng, vv, tol=tol)
         famu = constant_family(c, 0.0)
         r = ResolventFn(vv, famu, 0.0, tol)
         u = r.frame.extension(c).matrix
@@ -224,7 +224,7 @@ def run_property_suite(
     minimum = math.inf
     for _ in range(40):
         vv = sampling.random_isometry(rng, n_max=6)
-        c = sampling.random_parameter(rng, vv)
+        c = sampling.random_parameter(rng, vv, tol=tol)
         r = ResolventFn(vv, constant_family(c, 0.0), 0.0, tol)
         zs = [sampling.random_disk_point(rng, 0.0, 0.9) for _ in range(3)]
         hs = [rng.standard_normal(vv.ambient_dim) + 1j * rng.standard_normal(vv.ambient_dim)]
@@ -236,7 +236,7 @@ def run_property_suite(
     for _ in range(15):
         vv = sampling.random_isometry(rng, n_max=6)
         za = sampling.random_disk_point(rng, 0.05, 0.6)
-        c = sampling.random_parameter(rng, vv, za)
+        c = sampling.random_parameter(rng, vv, za, tol)
         ext_a = orthogonal_extension(vv, za, c, tol)
         for zb in (0.3 + 0j, -0.2 + 0.4j, 0.5j):
             frame_b = DefectFrame.of(vv, zb, tol)
@@ -250,7 +250,7 @@ def run_property_suite(
     for _ in range(25):
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
-        c = sampling.random_parameter(rng, vv, zz)
+        c = sampling.random_parameter(rng, vv, zz, tol)
         frame_z = DefectFrame.of(vv, zz, tol)
         back = frame_z.recover_parameter(frame_z.extension(c))
         worst = max(worst, max_abs(back.matrix - c.matrix))

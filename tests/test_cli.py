@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isoresolvent import DEFAULT_TOL, DefectFrame, cli, extensions, gap, numerics, resolvents
 from isoresolvent.cli import ScenarioError, main, parse_scenario
 from isoresolvent.numerics import sigma_min
+from isoresolvent.verify import run_property_suite
 
 
 def e1_scenario(c=1.0, z0=(0.0, 0.0), **extra):
@@ -332,6 +333,35 @@ class TestCommands:
         assert json.loads(out_path.read_text())["command"] == "defect"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("z0", [1e-12, 1e-15])
+    def test_tiny_base_point_matches_zero(self, tmp_path, capsys, z0):
+        """The orthogonal extension at a tiny nonzero z0 keeps its accuracy
+        (its formula does not divide by z0): the resolvent exists and agrees
+        with the one at z0 = 0 to O(|z0|)."""
+        values = []
+        for base in (z0, 0.0):
+            path = write_scenario(tmp_path, random_scenario(16, 12, (base, 0.0), seed=11))
+            assert main([path, "resolvent", "--zeta", "0.5", "0.1"]) == 0
+            values.append(np.array(strict_loads(capsys.readouterr().out)["matrix"]))
+        assert np.max(np.abs(values[0] - values[1])) <= 1e-10
+
+    def test_verify_builds_frames_only_under_the_suite_policy(self, monkeypatch):
+        """Under a scenario policy every parameter the suite draws shares the
+        frame of the resolvent built from it: no frame under another policy."""
+        doc = random_scenario(8, 5, (0.2, 0.1), seed=3, toler={"eps_rank": 1e-10})
+        scenario = parse_scenario(json.dumps(doc))
+        seen = []
+        original = DefectFrame.__post_init__
+
+        def spy(frame):
+            seen.append(frame.tol)
+            original(frame)
+
+        monkeypatch.setattr(DefectFrame, "__post_init__", spy)
+        results = run_property_suite(scenario.operator, scenario.family, scenario.z0, seed=1, tol=scenario.tol)
+        assert all(r.passed for r in results)
+        assert seen and all(tol == scenario.tol for tol in seen)
+
 
 class TestScenarioArrays:
     @pytest.mark.parametrize(
@@ -529,12 +559,26 @@ def eigenvector_scenario():
     }
 
 
+def blaschke_scenario():
+    """random_scenario(9, 6) at z0 = 0.25 - 0.1i with the Blaschke family
+    b(zeta) U0, a = -0.2 + 0.4i, for a fixed 3 x 3 unitary U0."""
+    doc = random_scenario(9, 6, (0.25, -0.1), seed=7)
+    rng = np.random.default_rng(9)
+    u0 = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    doc["family"] = {"kind": "blaschke", "a": [-0.2, 0.4], "matrix": [[[x.real, x.imag] for x in row] for row in u0]}
+    return doc
+
+
 class TestShortcutsKeepBytes:
     """The structural shortcuts change no byte: every command writes the same
     files with the same exit code as with all of them defeated, that is a
     fresh frame per request, an SVD per inverse, a regular-type SVD per arc
     sample (the floor carried along the arc ignored) and the M-space
-    projection condition taken from an explicit SVD instead of q_min."""
+    projection condition taken from an explicit SVD instead of q_min.
+
+    :meth:`DefectFrame.of` is the only route to a frame, so "a fresh frame
+    per request" covers every consumer: parsing, ``arc_scan``,
+    ``ResolventFn``, ``validate_family`` and the property suite."""
 
     @staticmethod
     def run(tmp_path, capsys, path, command):
@@ -554,6 +598,8 @@ class TestShortcutsKeepBytes:
             pytest.param(random_scenario(16, 12, seed=11), id="n16"),
             pytest.param(random_scenario(9, 6, (-0.2, 0.35), seed=4), id="n9-z0"),
             pytest.param(eigenvector_scenario(), id="eig-mid"),
+            pytest.param(random_scenario(8, 5, (0.2, 0.1), seed=3, toler={"eps_rank": 1e-10}), id="toler-z0"),
+            pytest.param(blaschke_scenario(), id="blaschke-z0"),
         ],
     )
     @pytest.mark.parametrize(

@@ -153,6 +153,19 @@ class TestRecoverParameter:
             ext_b = orthogonal_extension(v, z_b, c_b)
             assert max_abs(ext_b.matrix - ext_a.matrix) <= 10 * DEFAULT_TOL.eps_eq
 
+    @pytest.mark.parametrize("z0", [1e-12, 1e-15j, -3e-300])
+    def test_roundtrip_at_tiny_base_point(self, rng, z0):
+        # The forms (E + z0 T)^{-1} (T + conj(z0) E) and its inverse at -z0
+        # do not divide by z0, so they keep full accuracy as z0 -> 0 and
+        # agree with the z0 = 0 formulas to O(|z0|).
+        for _ in range(20):
+            v = random_isometry(rng, n_max=7)
+            c = random_parameter(rng, v, z0)
+            ext = orthogonal_extension(v, z0, c)
+            assert max_abs(recover_parameter(ext, v, z0).matrix - c.matrix) <= 10 * DEFAULT_TOL.eps_eq
+            at_zero = orthogonal_extension(v, 0.0, ContractionOp(c.src, c.dst, c.matrix))
+            assert max_abs(ext.matrix - at_zero.matrix) <= 10 * DEFAULT_TOL.eps_eq
+
     def test_mismatch_rejected(self, e1):
         # A unitary that does not extend V cannot be decoded at any base point.
         stranger = ExtensionOp(
@@ -214,6 +227,16 @@ class TestFamilies:
         assert max_abs(fam.value_at(0.25).matrix - c.matrix) == 0
         with pytest.raises(FamilyEvaluationError):
             fam.value_at(0.3)
+
+    def test_values_are_judged_by_their_norm_bound(self, rng, svd_shapes):
+        # A constant family's value is one object whose norm was measured
+        # when it was built: validating it takes no SVD.
+        v = random_isometry(rng, n_max=7, n_min=5, allow_full=False)
+        fam = constant_family(random_parameter(rng, v, 0.3j), 0.3j)
+        validate_family(fam, v, disk_grid(12))  # the frame's QRs are not under test
+        svd_shapes.clear()
+        assert validate_family(fam, v, disk_grid(12)).ok
+        assert not svd_shapes
 
     def test_family_base_mismatch_reported(self, e1):
         fam = constant_family(defect_parameter(e1, 0.3, [[0.5]]), 0.0)

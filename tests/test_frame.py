@@ -26,7 +26,6 @@ from isoresolvent import (
     herglotz_check,
     orthogonal_extension,
     reflected_point,
-    validate_family,
 )
 from isoresolvent.cli import main, parse_scenario
 from isoresolvent.numerics import operator_norm
@@ -103,7 +102,6 @@ class TestSharedFrame:
         frame = DefectFrame.of(v, 0.2j)
         assert DefectFrame.of(v, 0.2j) is frame
         assert DefectFrame.of(v, 0.2j, TolerancePolicy()) is frame  # equal policy
-        assert DefectFrame.ensure(None, v, 0.2j, DEFAULT_TOL) is frame
         finer = TolerancePolicy(eps_rank=1e-10)
         by_tol = DefectFrame.of(v, 0.2j, finer)
         assert by_tol is not frame and by_tol.tol == finer
@@ -212,17 +210,6 @@ class TestFrame:
         direct = orthogonal_extension(v, 0.2j, c)
         assert np.array_equal(ext.matrix, direct.matrix)
 
-    def test_foreign_frame_rejected(self, rng):
-        v, c, _ = restriction(rng, 6, 4, 0j)
-        fam = constant_family(c, 0j)
-        with pytest.raises(ValueError, match="another operator"):
-            ResolventFn(v, fam, 0j, frame=DefectFrame(v, 0.1))
-        with pytest.raises(ValueError, match="another operator"):
-            arc_scan(v, fam, (0.1, 1.3), frame=DefectFrame(v, 0.0, TolerancePolicy(eps_rank=1e-10)))
-        other, _, _ = restriction(rng, 6, 4, 0j)
-        with pytest.raises(ValueError, match="another operator"):
-            validate_family(fam, v, [0.0], frame=DefectFrame(other, 0.0))
-
     def test_resolvent_policy_serves_every_evaluation(self, monkeypatch, rng):
         """One policy per resolvent: values, both branches, Herglotz samples and
         the boundary gluing all run on the resolvent's own frame."""
@@ -284,7 +271,7 @@ def test_scenario_tolerance_reaches_every_defect_computation(monkeypatch, tmp_pa
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     policy = TolerancePolicy(**toler)
-    assert parse_scenario(path.read_text()).frame.tol == policy
+    assert parse_scenario(path.read_text()).tol == policy
 
     seen = []
     original = isoresolvent.isometry.defect_spaces

@@ -347,7 +347,7 @@ class TestRegularFloor:
         frame.extension(fam.constant)
         frame.transform
         svd_shapes.clear()
-        report = arc_scan(v, fam, (0.4, 1.6), z0, samples, frame=frame)
+        report = arc_scan(v, fam, (0.4, 1.6), z0, samples)
         assert len(report.samples) == samples
         assert svd_shapes[(n, n)] == samples
         assert 1 <= svd_shapes[(n, d)] <= 3

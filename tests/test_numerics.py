@@ -311,6 +311,12 @@ class TestUnitaryEig:
         with pytest.raises(NonUnitaryOperator):
             unitary_eig(np.array([[1, 1], [0, 1]], dtype=complex))
 
+    def test_overflowing_gram_is_rejected_without_warning(self):
+        # U^H U overflows to inf: the residual reads +inf, and RuntimeWarnings
+        # are errors in this suite.
+        with pytest.raises(NonUnitaryOperator):
+            unitary_eig(1e200 * np.eye(2, dtype=complex))
+
     def test_reconstruction_on_random_unitaries(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 7))
