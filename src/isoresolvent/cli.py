@@ -4,8 +4,10 @@ Scenario files are JSON; complex numbers are 2-element ``[re, im]`` arrays,
 basis fields list column vectors, operator matrices list rows.  Commands
 stream a strict JSON report (to ``--out`` or stdout), laid out as
 ``json.dumps(report, indent=2)``, and exit with 0 on success or a certified
-gap, 1 on input errors and library failures, and 2 when a property is
-violated or a scan is not certified.  Reports are byte-identical for
+gap; 1 on input errors and library failures, a ``PreconditionViolated``
+outside ``gap-scan`` among them, with one ``error:`` line on stderr; and 2
+when a property is violated or a scan is not certified or breaks a
+precondition (``PRECONDITION_VIOLATED``).  Reports are byte-identical for
 identical inputs and seed.
 """
 
@@ -56,13 +58,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario.  The defect geometry of (operator, z0) under
-    ``tol`` is kept on the operator (:meth:`DefectFrame.of`), so every
-    command reuses the frame that parsing built."""
+    """A validated scenario; its base point is ``family.z0``.  The defect
+    geometry of (operator, family.z0) under ``tol`` is kept on the operator
+    (:meth:`DefectFrame.of`), so every command reuses the frame that parsing
+    built."""
 
     operator: IsometricOperator
     family: ParameterFamily
-    z0: complex
     tol: TolerancePolicy
 
 
@@ -193,7 +195,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
     report = validate_family(family, operator, disk_grid(12), tol)
     if not report.ok:
         raise ScenarioError("family validation failed: " + "; ".join(report.violations))
-    return Scenario(operator, family, z0, tol)
+    return Scenario(operator, family, tol)
 
 
 def _contraction(frame: DefectFrame, matrix: np.ndarray) -> ContractionOp:
@@ -290,7 +292,7 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[complex] | None]:
-    r = ResolventFn(scenario.operator, scenario.family, scenario.z0, scenario.tol)
+    r = ResolventFn(scenario.operator, scenario.family, tol=scenario.tol)
     if args.grid is not None:
         points = disk_grid(args.grid)
         points = points + [1.0 / z.conjugate() for z in points if z != 0]
@@ -318,7 +320,6 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
             scenario.operator,
             scenario.family,
             (args.arc[0], args.arc[1]),
-            scenario.z0,
             n_samples=args.samples,
             tol=scenario.tol,
             continuity_bound=args.continuity_bound,
@@ -352,9 +353,7 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_verify(scenario: Scenario, args) -> tuple[dict, int]:
-    results = run_property_suite(
-        scenario.operator, scenario.family, scenario.z0, seed=args.seed, tol=scenario.tol
-    )
+    results = run_property_suite(scenario.operator, scenario.family, seed=args.seed, tol=scenario.tol)
     doc = {
         "properties": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -364,14 +363,14 @@ def _cmd_verify(scenario: Scenario, args) -> tuple[dict, int]:
     return doc, EXIT_OK if doc["all_passed"] else EXIT_VIOLATION
 
 
-def run_command(scenario: Scenario, command: str, args) -> tuple[dict, int, list[complex] | None]:
-    """Dispatch one CLI command; returns (report, exit_code, grid).
+def run_command(scenario: Scenario, args) -> tuple[dict, int, list[complex] | None]:
+    """Dispatch the CLI command ``args.command``; returns (report, exit_code, grid).
 
     Matrices in the report are complex numpy arrays, which :func:`_write_report`
     writes as rows of ``[re, im]`` pairs.  ``grid`` lists the points of a
     ``resolvent --grid`` run, in the order of ``report["points"]``, else None.
     """
-    grid = None
+    command, grid = args.command, None
     if command == "defect":
         report, code = _cmd_defect(scenario, args)
     elif command == "resolvent":
@@ -516,10 +515,10 @@ def main(argv=None) -> int:
         scenario = parse_scenario(text)
         if args.command == "resolvent" and args.grid is not None and args.out is None:
             raise ScenarioError("resolvent --grid needs --out (the CSV is written next to it)")
-        report, code, grid = run_command(scenario, args.command, args)
+        report, code, grid = run_command(scenario, args)
         if not _finite(report):
             raise ValueError("the report holds a non-finite number, which JSON cannot carry")
-    except (ValueError, SingularOperator) as exc:
+    except (ValueError, SingularOperator, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -327,7 +327,6 @@ class ArcSample:
     angle: float
     point: complex
     cond1: bool
-    cond1_label: str
     cond2: bool
     cond3_link: bool
     cond3_direct: bool
@@ -383,15 +382,16 @@ def arc_scan(
     v: IsometricOperator,
     fam: ParameterFamily,
     arc: tuple[float, float],
-    z0=0j,
+    *,
     n_samples: int = 9,
     tol: TolerancePolicy = DEFAULT_TOL,
     continuity_bound: float | None = None,
 ) -> GapReport:
     """Certify a spectral gap across an open arc by sampling its conditions.
 
-    ``n_samples`` points are placed equispaced strictly inside the arc
-    (endpoints excluded; the arc is open).  Per sample:
+    The base point is the family's, ``fam.z0``.  ``n_samples`` points are
+    placed equispaced strictly inside the arc (endpoints excluded; the arc
+    is open).  Per sample:
 
     1. continuity of the extended family: structural for the constant and
        blaschke kinds, successive-sample deviation <= ``continuity_bound``
@@ -406,7 +406,7 @@ def arc_scan(
     Raises PreconditionViolated (tagged with the sample index) when the
     regular-type hypothesis breaks at a sample.
 
-    Per frame (:meth:`DefectFrame.of` at (v, z0, tol)), shared by all
+    Per frame (:meth:`DefectFrame.of` at (v, fam.z0, tol)), shared by all
     samples: N_{z0}, the reflected pair, the Cayley transform and, for a
     constant family, the orthogonal extension T with all of its checks.  Per
     sample: the family value, the operators of :func:`build_gap_operators`
@@ -424,13 +424,10 @@ def arc_scan(
         raise ValueError("arc must satisfy 0 <= t1 < t2 <= 2*pi")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    z0 = complex(z0)
-    if fam.z0 != z0:
-        raise ValueError("family base point does not match z0")
     if fam.kind == "table" and continuity_bound is None:
         raise ValueError("tabulated families need an explicit continuity bound")
     cont_label = "structural" if fam.kind in ("constant", "blaschke") else "sampled-modulus"
-    frame = DefectFrame.of(v, z0, tol)
+    frame = DefectFrame.of(v, fam.z0, tol)
 
     step = (t2 - t1) / (n_samples + 1)
     floor = _RegularFloor()
@@ -465,7 +462,6 @@ def arc_scan(
                 angle=angle,
                 point=lam,
                 cond1=cond1,
-                cond1_label=cont_label,
                 cond2=cond2,
                 cond3_link=report.surjective,
                 cond3_direct=report.crosscheck_rank,
@@ -479,7 +475,7 @@ def arc_scan(
     return GapReport(
         verdict=verdict,
         arc=(t1, t2),
-        z0=z0,
+        z0=fam.z0,
         n_samples=n_samples,
         samples=tuple(samples),
         continuity_certification=cont_label,

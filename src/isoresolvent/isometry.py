@@ -140,7 +140,6 @@ class DefectPair:
 
     m: Subspace
     n: Subspace
-    zeta: object
 
 
 class RegularType(NamedTuple):
@@ -165,7 +164,7 @@ def defect_spaces(v: IsometricOperator, zeta, tol: TolerancePolicy = DEFAULT_TOL
         scale = max(1.0, abs(z.real), abs(z.imag))
     q, _, kept = _mgs(cols, tol.eps_rank, scale)
     k = len(kept)
-    return DefectPair(Subspace(v.ambient_dim, q[:, :k]), Subspace(v.ambient_dim, q[:, k:]), zeta)
+    return DefectPair(Subspace(v.ambient_dim, q[:, :k]), Subspace(v.ambient_dim, q[:, k:]))
 
 
 def regular_type(v: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) -> RegularType:

@@ -81,42 +81,38 @@ def chumakin(
 
 
 def inin(
-    v: IsometricOperator, z0, fam: ParameterFamily, zeta, tol: TolerancePolicy = DEFAULT_TOL
+    v: IsometricOperator, fam: ParameterFamily, zeta, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
-    """Resolvent by the general-base-point formula through the orthogonal extension.
+    """Resolvent by the general-base-point formula through the orthogonal
+    extension at the family's base point.
 
-    Coincides with :func:`chumakin` at z0 = 0.
+    Coincides with :func:`chumakin` for a family based at 0.
     """
     zeta = complex(zeta)
-    z0 = complex(z0)
     if abs(zeta) >= 1.0:
         raise ValueError("interior formula requires |zeta| < 1")
-    if fam.z0 != z0:
-        raise ValueError("family base point does not match z0")
-    return _interior(DefectFrame.of(v, z0, tol), fam, zeta)
+    return _interior(DefectFrame.of(v, fam.z0, tol), fam, zeta)
 
 
 @dataclass(frozen=True)
 class ResolventFn:
-    """A generalized resolvent: operator, parameter family, and base point.
+    """A generalized resolvent: operator and parameter family, based at the
+    family's base point ``fam.z0``.
 
-    Every evaluation runs under ``tol``.  ``frame``, the defect frame of
-    (v, z0) under that policy from :meth:`DefectFrame.of`, is taken once and
-    serves every value, so a constant family's extension is assembled once
-    and each value costs one inversion.
+    Every evaluation runs under ``tol``, which is keyword-only.  ``frame``,
+    the defect frame of (v, fam.z0) under that policy from
+    :meth:`DefectFrame.of`, is taken once and serves every value, so a
+    constant family's extension is assembled once and each value costs one
+    inversion.
     """
 
     v: IsometricOperator
     fam: ParameterFamily
-    z0: complex = 0j
-    tol: TolerancePolicy = DEFAULT_TOL
+    tol: TolerancePolicy = field(default=DEFAULT_TOL, kw_only=True)
     frame: DefectFrame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", complex(self.z0))
-        if self.fam.z0 != self.z0:
-            raise ValueError("family base point does not match the resolvent base point")
-        frame = DefectFrame.of(self.v, self.z0, self.tol)
+        frame = DefectFrame.of(self.v, self.fam.z0, self.tol)
         object.__setattr__(self, "frame", frame)
         violations = frame.space_violations(self.fam, "family")
         if violations:

@@ -49,10 +49,11 @@ def _result(name: str, passed: bool, detail: str) -> PropertyResult:
 def run_property_suite(
     v: IsometricOperator,
     fam: ParameterFamily,
-    z0: complex,
     seed: int = 0,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[PropertyResult]:
+    """Run every property on ``v`` and ``fam`` (at the family's base point)
+    and on random instances drawn from ``seed``, all under ``tol``."""
     rng = np.random.default_rng(seed)
     results: list[PropertyResult] = []
     n = v.ambient_dim
@@ -72,7 +73,7 @@ def run_property_suite(
     # table has none at 0, so its first value stands in).
     try:
         fam0 = constant_family(fam.table[0][1], fam.z0) if fam.kind == "table" else fam
-        r0 = inin(v, z0, fam0, 0.0, tol)
+        r0 = inin(v, fam0, 0.0, tol)
         dev = max_abs(r0 - identity(n))
         results.append(_result("resolvent_at_origin_is_identity", dev <= tol.eps_eq, f"max deviation {dev:.2e}"))
     except Exception as exc:
@@ -86,10 +87,10 @@ def run_property_suite(
         vv = sampling.random_isometry(rng, n_max=6)
         zz = sampling.random_disk_point(rng, 0.0, 0.6)
         c = sampling.random_parameter(rng, vv, zz, tol)
-        r_z = ResolventFn(vv, constant_family(c, zz), zz, tol)
+        r_z = ResolventFn(vv, constant_family(c, zz), tol=tol)
         frame_0 = DefectFrame.of(vv, 0j, tol)
         f0 = frame_0.recover_parameter(r_z.frame.extension(c))
-        r_0 = ResolventFn(vv, constant_family(f0, 0.0), 0.0, tol)
+        r_0 = ResolventFn(vv, constant_family(f0, 0.0), tol=tol)
         for zeta in sampling.disk_grid(6):
             a = r_z.interior(zeta)
             b = r_0.interior(zeta)
@@ -108,8 +109,8 @@ def run_property_suite(
         famz = constant_family(c, zz)
         w = DefectFrame.of(vv, zz, tol).transform
         fam_inner = constant_family(c, 0.0)
-        r_outer = ResolventFn(vv, famz, zz, tol)
-        r_inner = ResolventFn(w, fam_inner, 0.0, tol)
+        r_outer = ResolventFn(vv, famz, tol=tol)
+        r_inner = ResolventFn(w, fam_inner, tol=tol)
         for _ in range(4):
             u = sampling.random_disk_point(rng, 0.0, 0.85)
             if min(abs(u), abs(u - zz)) < 0.05:
@@ -212,7 +213,7 @@ def run_property_suite(
             continue
         c = sampling.random_unitary_parameter(rng, vv, tol=tol)
         famu = constant_family(c, 0.0)
-        r = ResolventFn(vv, famu, 0.0, tol)
+        r = ResolventFn(vv, famu, tol=tol)
         u = r.frame.extension(c).matrix
         for _ in range(3):
             z = (1.2 + rng.uniform(0.0, 1.5)) * sampling.random_boundary_point(rng)
@@ -225,7 +226,7 @@ def run_property_suite(
     for _ in range(40):
         vv = sampling.random_isometry(rng, n_max=6)
         c = sampling.random_parameter(rng, vv, tol=tol)
-        r = ResolventFn(vv, constant_family(c, 0.0), 0.0, tol)
+        r = ResolventFn(vv, constant_family(c, 0.0), tol=tol)
         zs = [sampling.random_disk_point(rng, 0.0, 0.9) for _ in range(3)]
         hs = [rng.standard_normal(vv.ambient_dim) + 1j * rng.standard_normal(vv.ambient_dim)]
         minimum = min(minimum, herglotz_check(r, zs, hs))

@@ -90,7 +90,7 @@ def test_02_inin_equals_chumakin():
         fam_z0 = constant_family(c, z0)
         fam_0 = constant_family(recover_parameter(fixed, v, 0.0), 0.0)
         for zeta in disk_grid(20):
-            dev = max_abs(inin(v, z0, fam_z0, zeta) - chumakin(v, fam_0, zeta))
+            dev = max_abs(inin(v, fam_z0, zeta) - chumakin(v, fam_0, zeta))
             worst = max(worst, dev)
     check("02 inin equals chumakin", worst <= 1e-8, f"max deviation {worst:.2e} over 50x20")
 
@@ -103,8 +103,8 @@ def test_03_resolvent_relation():
         v = random_isometry(rng, n_max=8)
         z0 = random_disk_point(rng, 0.15, 0.6)
         c = random_parameter(rng, v, z0)
-        outer = ResolventFn(v, constant_family(c, z0), z0)
-        inner = ResolventFn(cayley(v, z0), constant_family(c, 0.0), 0.0)
+        outer = ResolventFn(v, constant_family(c, z0))
+        inner = ResolventFn(cayley(v, z0), constant_family(c, 0.0))
         interior = []
         while len(interior) < 10:
             u = random_disk_point(rng, 0.0, 0.85)
@@ -145,7 +145,7 @@ def test_05_exterior_branch():
     for _ in range(10):
         v = random_isometry(rng, n_max=8)
         c = random_unitary_parameter(rng, v)
-        r = ResolventFn(v, constant_family(c, 0.0), 0.0)
+        r = ResolventFn(v, constant_family(c, 0.0))
         u = extend_full(v, 0.0, c).matrix
         for _ in range(10):
             z = rng.uniform(1.05, 2.95) * random_boundary_point(rng)
@@ -285,7 +285,7 @@ def test_11_gap_scan_end_to_end(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     certified = code == 0 and out["verdict"] == "GAP_CERTIFIED"
 
-    r = ResolventFn(v, fam_unit, 0.0)
+    r = ResolventFn(v, fam_unit)
     worst_cont = 0.0
     for j in range(9):
         t = arc[0] + (j + 1) * (arc[1] - arc[0]) / 10
@@ -344,7 +344,7 @@ def test_13_herglotz_positivity():
     while samples < 500:
         v = random_isometry(rng, n_max=8)
         c = random_parameter(rng, v)
-        r = ResolventFn(v, constant_family(c, 0.0), 0.0)
+        r = ResolventFn(v, constant_family(c, 0.0))
         grid = [random_disk_point(rng, 0.0, 0.9) for _ in range(5)]
         vecs = [rng.standard_normal(v.ambient_dim) + 1j * rng.standard_normal(v.ambient_dim)]
         minimum = min(minimum, herglotz_check(r, grid, vecs))

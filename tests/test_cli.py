@@ -262,6 +262,17 @@ class TestCommands:
         if z0 == [0.0, 0.0]:
             assert "does not extend V" in err
 
+    @pytest.mark.parametrize("eps_unit, seed", [(1e-14, "0"), (1e-15, "1")])
+    def test_policy_below_roundoff_in_verify_is_an_input_error(self, tmp_path, capsys, eps_unit, seed):
+        """An eps_unit below roundoff makes a random draw of the property
+        suite fail the link's isometry check (PreconditionViolated): exit 1
+        with one line, no traceback and no report."""
+        path = write_scenario(tmp_path, e1_scenario(toler={"eps_unit": eps_unit}))
+        assert main([path, "verify", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: link operator failed the isometry check\n"
+
     def test_inverse_residual_failure_is_an_input_error(self, tmp_path, capsys):
         """eps_eq below roundoff fails the interior inverse on its residual:
         exit 1 with one line that names the residual, not the rank cutoff."""
@@ -358,7 +369,7 @@ class TestCommands:
             original(frame)
 
         monkeypatch.setattr(DefectFrame, "__post_init__", spy)
-        results = run_property_suite(scenario.operator, scenario.family, scenario.z0, seed=1, tol=scenario.tol)
+        results = run_property_suite(scenario.operator, scenario.family, seed=1, tol=scenario.tol)
         assert all(r.passed for r in results)
         assert seen and all(tol == scenario.tol for tol in seen)
 

@@ -30,7 +30,6 @@ from isoresolvent import (
 from isoresolvent.cli import main, parse_scenario
 from isoresolvent.numerics import operator_norm
 from isoresolvent.sampling import random_parameter, random_unitary
-from isoresolvent.verify import run_property_suite
 
 Z0_CASES = [0j, 0.3 - 0.2j]
 
@@ -78,7 +77,7 @@ class TestCallCounts:
         counts = count_calls(
             monkeypatch, isoresolvent.isometry.defect_spaces, isoresolvent.transforms.cayley
         )
-        report = arc_scan(v, fam, (0.1, 1.3), z0, n_samples=k)
+        report = arc_scan(v, fam, (0.1, 1.3), n_samples=k)
         assert len(report.samples) == k
         assert counts["defect_spaces"] <= k + 4
         assert counts["cayley"] <= 1
@@ -89,7 +88,7 @@ class TestCallCounts:
         v, c, _ = restriction(rng, 8, 5, z0)
         fam = constant_family(c, z0)
         counts = count_calls(monkeypatch, isoresolvent.isometry.defect_spaces)
-        r = ResolventFn(v, fam, z0)
+        r = ResolventFn(v, fam)
         for j in range(m):
             zeta = 0.7 * np.exp(0.4j * j)
             r.at(zeta if j % 2 else 1.0 / np.conj(zeta))
@@ -121,7 +120,7 @@ class TestSharedFrame:
             monkeypatch, isoresolvent.isometry.defect_spaces, isoresolvent.numerics.subspace_gap
         )
         c = random_parameter(rng, v, z0)
-        r = ResolventFn(v, constant_family(c, z0), z0)
+        r = ResolventFn(v, constant_family(c, z0))
         r.at(0.4 - 0.3j)
         r.at(2.0 + 0.5j)
         assert counts == {"defect_spaces": 2}
@@ -130,7 +129,7 @@ class TestSharedFrame:
     def test_unitary_resolvent_values_take_no_svd(self, monkeypatch, rng, z0):
         """1 - |zeta| ||T|| >= 0.1 clears the rank cutoff, on either branch."""
         v, c, _ = restriction(rng, 8, 5, z0)
-        r = ResolventFn(v, constant_family(c, z0), z0)
+        r = ResolventFn(v, constant_family(c, z0))
         r.at(0.0)  # assembles the extension
         counts = count_calls(monkeypatch, isoresolvent.numerics.singular_values)
         for j in range(12):
@@ -159,7 +158,7 @@ class TestAgreement:
     @pytest.mark.parametrize("z0", Z0_CASES)
     def test_resolvent_equals_unitary_resolvent(self, rng, z0):
         v, c, u = restriction(rng, 12, 9, z0)
-        r = ResolventFn(v, constant_family(c, z0), z0)
+        r = ResolventFn(v, constant_family(c, z0))
         eye = np.eye(12, dtype=complex)
         for zeta in (0.0, 0.5j, -0.8 + 0.1j, 1.3, -0.4 - 2.0j):
             want = np.linalg.inv(eye - zeta * u)
@@ -170,7 +169,7 @@ class TestAgreement:
         n, d, a = 10, 7, 0.4 + 0.3j
         v, c, _ = restriction(rng, n, d, z0)
         fam = blaschke_family(a, c, z0)
-        report = arc_scan(v, fam, (0.2, 2.9), z0, n_samples=12)
+        report = arc_scan(v, fam, (0.2, 2.9), n_samples=12)
         # T(lam) from its defining formulas, with no frame: the Cayley
         # transform W = (V - conj(z0)) (E - z0 V)^{-1} on M_{z0}, plus the
         # parameter in the canonical bases, then the inverse Cayley step.
@@ -223,7 +222,7 @@ class TestFrame:
             return original(v, zeta, tol)
 
         patch_everywhere(monkeypatch, original, spy)
-        r = ResolventFn(v, constant_family(c, 0.2j), 0.2j, policy)
+        r = ResolventFn(v, constant_family(c, 0.2j), tol=policy)
         calls = len(seen)
         r.at(0.5)
         r.at(-2.0j)
@@ -231,14 +230,6 @@ class TestFrame:
         continuation_consistency(r, np.exp(0.7j))
         assert len(seen) == calls <= 2
         assert all(tol == policy for tol in seen)
-
-    def test_suite_reports_family_base_mismatch(self):
-        """A family based elsewhere than z0 fails properties; it does not raise."""
-        v = IsometricOperator(2, [[1], [0]], [[0], [1]])
-        c = ContractionOp(defect_spaces(v, 0j).n, defect_spaces(v, reflected_point(0j)).n, [[0.5]])
-        results = {r.name: r for r in run_property_suite(v, constant_family(c, 0j), 0.3)}
-        assert results["scenario_family_contractive"].passed
-        assert not results["resolvent_at_origin_is_identity"].passed
 
     def test_one_space_check_for_parameters_and_families(self, rng):
         z0 = 0.2j
@@ -252,7 +243,7 @@ class TestFrame:
         assert frame.space_violations(constant_family(c, z0), "family")[0].startswith("family source")
         assert DefectFrame(v, z0).space_violations(c) == []
         with pytest.raises(ValueError, match="family source"):
-            ResolventFn(other, constant_family(c, z0), z0)
+            ResolventFn(other, constant_family(c, z0))
         with pytest.raises(ValueError, match="parameter source"):
             extend_full(other, z0, c)
 

@@ -162,7 +162,7 @@ class TestArcScan:
 
     def test_gap_certified(self, e1):
         fam = self.certified_setup(e1)
-        report = arc_scan(e1, fam, (math.pi / 4, 3 * math.pi / 4), 0.0, 9)
+        report = arc_scan(e1, fam, (math.pi / 4, 3 * math.pi / 4), n_samples=9)
         assert report.verdict == GAP_CERTIFIED
         assert all(s.passed for s in report.samples)
         assert report.continuity_certification == "structural"
@@ -171,7 +171,7 @@ class TestArcScan:
         # The middle sample of this arc lands exactly on the spectral atom at
         # angle pi, where the extension minus 1/lam is singular.
         fam = self.certified_setup(e1)
-        report = arc_scan(e1, fam, (math.pi / 2, 3 * math.pi / 2), 0.0, 9)
+        report = arc_scan(e1, fam, (math.pi / 2, 3 * math.pi / 2), n_samples=9)
         assert report.verdict == NOT_CERTIFIED
         bad = report.witnesses()
         assert len(bad) == 1 and bad[0].index == 4
@@ -181,14 +181,14 @@ class TestArcScan:
 
     def test_strict_contraction_fails_condition_two_everywhere(self, e1):
         fam = constant_family(defect_parameter(e1, 0.0, [[0.5]]), 0.0)
-        report = arc_scan(e1, fam, (math.pi / 4, 3 * math.pi / 4), 0.0, 9)
+        report = arc_scan(e1, fam, (math.pi / 4, 3 * math.pi / 4), n_samples=9)
         assert report.verdict == NOT_CERTIFIED
         assert all(not s.cond2 for s in report.samples)
 
     def test_link_and_direct_routes_agree(self, e1, rng):
         fam = self.certified_setup(e1)
         for arc in ((0.3, 1.1), (math.pi / 2, 3 * math.pi / 2), (4.0, 6.0)):
-            report = arc_scan(e1, fam, arc, 0.0, 7)
+            report = arc_scan(e1, fam, arc, n_samples=7)
             for s in report.samples:
                 assert s.cond3_link == s.cond3_direct
 
@@ -199,11 +199,20 @@ class TestArcScan:
         fam_z0 = constant_family(recover_parameter(fixed, e1, z0), z0)
         fam_0 = constant_family(c0, 0.0)
         for arc in ((math.pi / 4, 3 * math.pi / 4), (math.pi / 2, 3 * math.pi / 2)):
-            rep_0 = arc_scan(e1, fam_0, arc, 0.0, 9)
-            rep_z = arc_scan(e1, fam_z0, arc, z0, 9)
+            rep_0 = arc_scan(e1, fam_0, arc, n_samples=9)
+            rep_z = arc_scan(e1, fam_z0, arc, n_samples=9)
             assert rep_0.verdict == rep_z.verdict
             for a, b in zip(rep_0.samples, rep_z.samples):
                 assert a.passed == b.passed
+
+    def test_base_point_from_family_and_options_by_keyword(self, e1):
+        """The report carries the family's base point; a stale positional z0
+        in the place of the keyword-only sample count is a TypeError."""
+        z0 = 0.3 + 0.2j
+        fam = constant_family(defect_parameter(e1, z0, [[0.5]]), z0)
+        assert arc_scan(e1, fam, (0.5, 1.0), n_samples=3).z0 == z0
+        with pytest.raises(TypeError):
+            arc_scan(e1, self.certified_setup(e1), (0.5, 1.0), 0.0, 9)
 
     def test_precondition_violation_reports_sample_index(self):
         # V = -identity on C^1 has its eigenvalue at angle pi, which the
@@ -211,12 +220,12 @@ class TestArcScan:
         v = IsometricOperator(1, [[1]], [[-1]])
         fam = constant_family(defect_parameter(v, 0.0, np.zeros((0, 0))), 0.0)
         with pytest.raises(PreconditionViolated, match="sample 4"):
-            arc_scan(v, fam, (math.pi / 2, 3 * math.pi / 2), 0.0, 9)
+            arc_scan(v, fam, (math.pi / 2, 3 * math.pi / 2), n_samples=9)
 
     def test_unitary_operator_scan_certifies_off_spectrum(self):
         v = IsometricOperator(1, [[1]], [[-1]])
         fam = constant_family(defect_parameter(v, 0.0, np.zeros((0, 0))), 0.0)
-        report = arc_scan(v, fam, (0.5, 2.0), 0.0, 9)
+        report = arc_scan(v, fam, (0.5, 2.0), n_samples=9)
         assert report.verdict == GAP_CERTIFIED
 
     def test_table_family_needs_bound_and_samples(self, e1):
@@ -228,13 +237,13 @@ class TestArcScan:
         angles = [arc[0] + (j + 1) * (arc[1] - arc[0]) / 10 for j in range(9)]
         fam = table_family([(np.exp(1j * t), c) for t in angles], 0.0)
         with pytest.raises(ValueError, match="continuity bound"):
-            arc_scan(e1, fam, arc, 0.0, 9)
-        report = arc_scan(e1, fam, arc, 0.0, 9, continuity_bound=0.5)
+            arc_scan(e1, fam, arc, n_samples=9)
+        report = arc_scan(e1, fam, arc, n_samples=9, continuity_bound=0.5)
         assert report.verdict == GAP_CERTIFIED
         assert report.continuity_certification == "sampled-modulus"
         sparse = table_family([(np.exp(1j * angles[0]), c)], 0.0)
         with pytest.raises(FamilyEvaluationError):
-            arc_scan(e1, sparse, arc, 0.0, 9, continuity_bound=0.5)
+            arc_scan(e1, sparse, arc, n_samples=9, continuity_bound=0.5)
 
     def test_samples_equal_the_standalone_criterion(self):
         # Each sample carries exactly the verdicts and singular values that
@@ -245,7 +254,7 @@ class TestArcScan:
             v = random_isometry(rng, n_max=6)
             c = random_unitary_parameter(rng, v)
             try:
-                report = arc_scan(v, constant_family(c, 0.0), (0.3, 2.9), 0.0, 8)
+                report = arc_scan(v, constant_family(c, 0.0), (0.3, 2.9), n_samples=8)
             except PreconditionViolated:
                 continue
             for s in report.samples:
@@ -271,7 +280,7 @@ class TestArcScan:
             reflected = (2 * math.pi - arc[1], 2 * math.pi - arc[0])
             spectral_gap = gap_on_arc(sd, Subspace.full(2), reflected)[0]
             assert spectral_gap == expected
-            scan = arc_scan(e1, fam, arc, 0.0, 9)
+            scan = arc_scan(e1, fam, arc, n_samples=9)
             assert scan.certified == expected
 
 
@@ -347,7 +356,7 @@ class TestRegularFloor:
         frame.extension(fam.constant)
         frame.transform
         svd_shapes.clear()
-        report = arc_scan(v, fam, (0.4, 1.6), z0, samples)
+        report = arc_scan(v, fam, (0.4, 1.6), n_samples=samples)
         assert len(report.samples) == samples
         assert svd_shapes[(n, n)] == samples
         assert 1 <= svd_shapes[(n, d)] <= 3
@@ -383,11 +392,11 @@ class TestRegularFloor:
 
         monkeypatch.setattr(gap, "regular_type", counted)
         with pytest.raises(PreconditionViolated) as carried:
-            arc_scan(v, fam, arc, z0, 9)
+            arc_scan(v, fam, arc, n_samples=9)
         assert calls["regular_type"] < 5  # samples 1-3 cleared by the floor
         monkeypatch.setattr(gap._RegularFloor, "clears", lambda self, s, tol: False)
         with pytest.raises(PreconditionViolated) as measured:
-            arc_scan(v, fam, arc, z0, 9)
+            arc_scan(v, fam, arc, n_samples=9)
         assert str(carried.value) == str(measured.value)
         assert str(carried.value).startswith("sample 4 at angle 5.283185: regular-type hypothesis fails")
 

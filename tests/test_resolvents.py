@@ -40,7 +40,7 @@ def scalar_model(c: float) -> tuple[IsometricOperator, ResolventFn]:
     """Empty-domain operator on C^1; the resolvent is 1/(1 - c zeta)."""
     v = IsometricOperator(1, np.zeros((1, 0)), np.zeros((1, 0)))
     fam = constant_family(defect_parameter(v, 0.0, [[c]]), 0.0)
-    return v, ResolventFn(v, fam, 0.0)
+    return v, ResolventFn(v, fam)
 
 
 def unit_family(e1):
@@ -81,7 +81,7 @@ class TestInin:
             v = random_isometry(rng, n_max=6)
             fam = constant_family(random_parameter(rng, v), 0.0)
             for zeta in disk_grid(20):
-                worst = max(worst, max_abs(inin(v, 0.0, fam, zeta) - chumakin(v, fam, zeta)))
+                worst = max(worst, max_abs(inin(v, fam, zeta) - chumakin(v, fam, zeta)))
         assert worst <= 10 * DEFAULT_TOL.eps_eq
 
     def test_constant_parameter_rebase_equivalence(self, e1):
@@ -94,29 +94,39 @@ class TestInin:
         fam_zero = constant_family(f0, 0.0)
         worst = 0.0
         for zeta in disk_grid(20):
-            worst = max(worst, max_abs(inin(e1, 0.5, fam_half, zeta) - chumakin(e1, fam_zero, zeta)))
+            worst = max(worst, max_abs(inin(e1, fam_half, zeta) - chumakin(e1, fam_zero, zeta)))
         assert worst <= 10 * DEFAULT_TOL.eps_eq
 
     def test_identity_at_origin(self, e1):
         fam = constant_family(defect_parameter(e1, 0.3, [[0.4]]), 0.3)
-        assert max_abs(inin(e1, 0.3, fam, 0.0) - np.eye(2)) <= 1e-14
+        assert max_abs(inin(e1, fam, 0.0) - np.eye(2)) <= 1e-14
+
+
+class TestResolventFn:
+    def test_base_point_from_family_and_policy_by_keyword(self, e1):
+        """The frame sits at the family's base point; a stale positional z0
+        in the place of the keyword-only policy is a TypeError."""
+        fam = constant_family(defect_parameter(e1, 0.3, [[0.4]]), 0.3)
+        assert ResolventFn(e1, fam).frame.z0 == 0.3
+        with pytest.raises(TypeError):
+            ResolventFn(e1, unit_family(e1), 0.0)
 
 
 class TestExteriorBranch:
     def test_e1_value(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         assert_allclose(
             exterior_value(r, 2.0), [[-1 / 3, -2 / 3], [-2 / 3, -1 / 3]], atol=1e-9
         )
 
     def test_matches_direct_inverse_of_unitary_extension(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         u = np.array([[0, 1], [1, 0]], dtype=complex)
         direct = np.linalg.inv(np.eye(2) - 2.0 * u)
         assert max_abs(exterior_value(r, 2.0) - direct) <= 10 * DEFAULT_TOL.eps_eq
 
     def test_reflection_involution(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         z = 1.7 - 0.4j
         back = np.eye(2) - exterior_value(r, z).conj().T
         assert max_abs(back - r.interior(1.0 / z.conjugate())) <= 1e-12
@@ -125,7 +135,7 @@ class TestExteriorBranch:
         for _ in range(10):
             v = random_isometry(rng, n_max=6)
             c = random_unitary_parameter(rng, v)
-            r = ResolventFn(v, constant_family(c, 0.0), 0.0)
+            r = ResolventFn(v, constant_family(c, 0.0))
             u = extend_full(v, 0.0, c).matrix
             for _ in range(3):
                 z = rng.uniform(1.1, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -133,7 +143,7 @@ class TestExteriorBranch:
                 assert max_abs(exterior_value(r, z) - direct) <= 10 * DEFAULT_TOL.eps_eq
 
     def test_rejects_interior(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         with pytest.raises(ValueError):
             exterior_value(r, 0.5)
         with pytest.raises(ValueError):
@@ -181,7 +191,7 @@ class TestVerifyInversion:
 
 class TestHerglotz:
     def test_origin_value(self, e1, rng):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         samples = herglotz_samples(r, [0.0], [h])
         expect = 0.5 * float(np.vdot(h, h).real)
@@ -197,7 +207,7 @@ class TestHerglotz:
         minimum = math.inf
         for _ in range(40):
             v = random_isometry(rng, n_max=6)
-            r = ResolventFn(v, constant_family(random_parameter(rng, v), 0.0), 0.0)
+            r = ResolventFn(v, constant_family(random_parameter(rng, v), 0.0))
             grid = [random_disk_point(rng, 0.0, 0.9) for _ in range(4)]
             vecs = [rng.standard_normal(v.ambient_dim) + 1j * rng.standard_normal(v.ambient_dim)]
             minimum = min(minimum, herglotz_check(r, grid, vecs))
@@ -226,7 +236,7 @@ class TestGapOnArc:
 
 class TestContinuationConsistency:
     def test_unitary_parameter_glues(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         assert continuation_consistency(r, 1j) <= DEFAULT_TOL.eps_eq
 
     def test_scalar_model_gap_value(self):
@@ -238,11 +248,11 @@ class TestContinuationConsistency:
 
     def test_e1_strict_contraction_does_not_glue(self, e1):
         fam = constant_family(defect_parameter(e1, 0.0, [[0.5]]), 0.0)
-        r = ResolventFn(e1, fam, 0.0)
+        r = ResolventFn(e1, fam)
         assert continuation_consistency(r, 1j) > 0.1
 
     def test_singular_at_spectral_atom(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         with pytest.raises(SingularOperator):
             continuation_consistency(r, 1.0)
 
@@ -252,7 +262,7 @@ class TestBoundaryEquivalence:
     in-space unitary extensions."""
 
     def test_gap_implies_gluing_on_reflected_samples(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         u = extend_full(e1, 0.0, r.fam.constant).matrix
         sd = spectral_data(u)
         arc = (math.pi / 4, 3 * math.pi / 4)
@@ -264,7 +274,7 @@ class TestBoundaryEquivalence:
             assert continuation_consistency(r, lam) <= DEFAULT_TOL.eps_eq
 
     def test_atom_inside_arc_blocks_gluing_at_hit_sample(self, e1):
-        r = ResolventFn(e1, unit_family(e1), 0.0)
+        r = ResolventFn(e1, unit_family(e1))
         u = extend_full(e1, 0.0, r.fam.constant).matrix
         sd = spectral_data(u)
         arc = (math.pi / 2, 3 * math.pi / 2)

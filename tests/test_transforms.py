@@ -166,14 +166,14 @@ class TestRelateResolvents:
         fam_outer = constant_family(c, z0)
         w = cayley(v, z0)
         fam_inner = constant_family(c, 0.0)
-        return v, z0, ResolventFn(v, fam_outer, z0), ResolventFn(w, fam_inner, 0.0)
+        return v, z0, ResolventFn(v, fam_outer), ResolventFn(w, fam_inner)
 
     def test_matches_direct_formula_interior(self, e1, rng):
         v, z0, outer, inner = self._setup(rng, v=e1, z0=0.5)
         u = 0.3
         t = (u - z0) / (1 - z0.conjugate() * u)
         got = relate_resolvents(inner.at(t), z0, u)
-        want = inin(v, z0, outer.fam, u)
+        want = inin(v, outer.fam, u)
         assert max_abs(got - want) <= 10 * DEFAULT_TOL.eps_eq
 
     def test_matches_exterior_branch(self, e1, rng):
