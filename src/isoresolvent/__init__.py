@@ -72,7 +72,7 @@ from .resolvents import (
     herglotz_check,
     herglotz_samples,
     inin,
-    spectral_data,
+    reflect,
     verify_inversion,
 )
 from .gap import (

@@ -9,6 +9,13 @@ outside ``gap-scan`` among them, with one ``error:`` line on stderr; and 2
 when a property is violated or a scan is not certified or breaks a
 precondition (``PRECONDITION_VIOLATED``).  Reports are byte-identical for
 identical inputs and seed.
+
+``resolvent --grid`` evaluates the resolvent at each grid point z inside the
+disk and takes the value at its mirror 1/conj(z) from it by the reflection
+identity, E - R(z)^H, so each pair costs one solve.  Its writer formats each
+pair once: the mirror's tokens are its partner's, transposed, with the real
+parts' signs flipped; only the mirror's real diagonal and its parts equal to
+zero are formatted again.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from .isometry import (
     regular_type,
 )
 from .numerics import DEFAULT_TOL, SingularOperator, TolerancePolicy, _gram_residual
-from .resolvents import ResolventFn
+from .resolvents import ResolventFn, reflect
 from .sampling import disk_grid
 from .verify import run_property_suite
 
@@ -294,10 +301,10 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
 def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[complex] | None]:
     r = ResolventFn(scenario.operator, scenario.family, tol=scenario.tol)
     if args.grid is not None:
-        points = disk_grid(args.grid)
-        points = points + [1.0 / z.conjugate() for z in points if z != 0]
-        values = [{"zeta": _jsonify_complex(z), "matrix": r.at(z)} for z in points]
-        return {"points": values}, EXIT_OK, points
+        inner = [(z, r.at(z)) for z in disk_grid(args.grid)]
+        values = inner + [(1.0 / z.conjugate(), reflect(m)) for z, m in inner]
+        points = [{"zeta": _jsonify_complex(z), "matrix": m} for z, m in values]
+        return {"points": points}, EXIT_OK, [z for z, _ in values]
     if not args.zeta:
         raise ScenarioError("resolvent needs --zeta or --grid")
     _require_finite("--zeta", math.hypot(*args.zeta))  # a modulus beyond float range is inf
@@ -368,7 +375,9 @@ def run_command(scenario: Scenario, args) -> tuple[dict, int, list[complex] | No
 
     Matrices in the report are complex numpy arrays, which :func:`_write_report`
     writes as rows of ``[re, im]`` pairs.  ``grid`` lists the points of a
-    ``resolvent --grid`` run, in the order of ``report["points"]``, else None.
+    ``resolvent --grid`` run, in the order of ``report["points"]``, else None:
+    the grid points inside the disk, then, in the same order, their mirrors
+    1/conj(z), whose values are :func:`reflect` of the value at z, E - R(z)^H.
     """
     command, grid = args.command, None
     if command == "defect":
@@ -388,14 +397,21 @@ def run_command(scenario: Scenario, args) -> tuple[dict, int, list[complex] | No
 _SCALAR = json.JSONEncoder(allow_nan=False).encode
 
 
-def _matrix_text(m: np.ndarray, level: int, on_matrix) -> str:
+def _tokens(values: np.ndarray) -> list[str]:
+    """The JSON token, ``repr``, of each float in ``values``.  Every float of
+    a report matrix is formatted here, or copied from a token made here."""
+    return list(map(repr, values.tolist()))
+
+
+def _parts(m: np.ndarray) -> tuple[list[str], list[str]]:
+    """The tokens of the real and of the imaginary parts of ``m``, row by row."""
+    return _tokens(m.real.ravel()), _tokens(m.imag.ravel())
+
+
+def _matrix_text(m: np.ndarray, level: int, parts=_parts) -> str:
     """``m`` as ``json.dumps`` writes its rows of [re, im] pairs at nesting
-    ``level`` with indent 2.  Each part is formatted once, by ``repr``, and
-    the strings are also handed to ``on_matrix(shape, real, imag)``."""
-    real = list(map(repr, m.real.ravel().tolist()))
-    imag = list(map(repr, m.imag.ravel().tolist()))
-    if on_matrix is not None:
-        on_matrix(m.shape, real, imag)
+    ``level`` with indent 2, from the part tokens ``parts(m)``."""
+    real, imag = parts(m)
     n_rows, n_cols = m.shape
     if not n_rows:
         return "[]"
@@ -412,17 +428,17 @@ def _matrix_text(m: np.ndarray, level: int, on_matrix) -> str:
     return "[" + i1 + ("," + i1).join(rows) + i0 + "]"
 
 
-def _chunks(obj, level: int, on_matrix):
+def _chunks(obj, level: int, parts):
     """Yield the text of ``json.dumps(obj, indent=2)`` piece by piece: one
     piece per scalar, per container bracket and per matrix."""
     if isinstance(obj, np.ndarray):
-        yield _matrix_text(obj, level, on_matrix)
+        yield _matrix_text(obj, level, parts)
     elif isinstance(obj, dict) and obj:
         inner = "\n" + "  " * (level + 1)
         opening = "{" + inner
         for key, value in obj.items():
             yield opening + _SCALAR(key) + ": "
-            yield from _chunks(value, level + 1, on_matrix)
+            yield from _chunks(value, level + 1, parts)
             opening = "," + inner
         yield "\n" + "  " * level + "}"
     elif isinstance(obj, (list, tuple)) and obj:
@@ -430,7 +446,7 @@ def _chunks(obj, level: int, on_matrix):
         opening = "[" + inner
         for value in obj:
             yield opening
-            yield from _chunks(value, level + 1, on_matrix)
+            yield from _chunks(value, level + 1, parts)
             opening = "," + inner
         yield "\n" + "  " * level + "]"
     else:
@@ -448,34 +464,72 @@ def _finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
-def _write_report(report: dict, write, on_matrix=None) -> None:
+def _write_report(report: dict, write, parts=_parts) -> None:
     r"""Stream ``json.dumps(report, indent=2) + "\n"`` through ``write``,
-    matrices (complex numpy arrays) as rows of ``[re, im]`` pairs.
+    matrices (complex numpy arrays) as rows of ``[re, im]`` pairs whose
+    tokens ``parts`` gives.
 
     Callers check the report with :func:`_finite` first, so no partial
     report is written; scalars are encoded without NaN or Infinity tokens.
     """
-    for chunk in _chunks(report, 0, on_matrix):
+    for chunk in _chunks(report, 0, parts):
         write(chunk)
     write("\n")
 
 
+def _kept_for_mirror(real: list[str], imag: list[str], n: int) -> tuple[str, str]:
+    """The tokens of an n x n value R as its mirror E - R^H takes them, one
+    string per part: transposed, the real parts with their sign flipped."""
+    real, imag = (list(chain.from_iterable(part[j::n] for j in range(n))) for part in (real, imag))
+    # A float token starts with at most one "-" and holds "--" nowhere else.
+    return ("-" + "\n-".join(real)).replace("--", ""), "\n".join(imag)
+
+
+def _mirror_parts(m: np.ndarray, kept: tuple[str, str]) -> tuple[list[str], list[str]]:
+    """The part tokens of the mirror ``m`` = E - R^H from those of R kept by
+    :func:`_kept_for_mirror`.  E - R^H takes -Re R and Im R exactly except on
+    the diagonal, 1 - Re R, and where a part is 0 - (+-0.0) = 0.0; those
+    tokens alone are formatted, from ``m``."""
+    real, imag = (part.split("\n") for part in kept)
+    real_fresh = m.real == 0
+    np.fill_diagonal(real_fresh, True)
+    for tokens, part, fresh in ((real, m.real, real_fresh), (imag, m.imag, m.imag == 0)):
+        at = np.flatnonzero(fresh)
+        for k, token in zip(at.tolist(), _tokens(part.ravel()[at])):
+            tokens[k] = token
+    return real, imag
+
+
 def _csv_rows(write, grid: list[complex]):
-    """Write the CSV header and return an ``on_matrix`` hook that writes the
-    rows of the k-th matrix it receives as the value at ``grid[k]``."""
-    points = iter(grid)
+    """Write the CSV header and return the ``parts`` of a ``--grid`` report:
+    it gives the tokens of the k-th matrix and writes them as the rows of the
+    value at ``grid[k]``.
+
+    A grid report lists its interior values, then their mirrors in the same
+    order (:func:`run_command`).  An interior value's tokens are kept, about
+    20 bytes per float, until its mirror takes them (:func:`_mirror_parts`).
+    """
+    values = enumerate(grid)
+    half = len(grid) // 2
+    kept = {}
     indices = {}
     write("zeta_re,zeta_im,entry_row,entry_col,value_re,value_im\n")
 
-    def rows(shape, real, imag):
-        z = next(points)
-        if shape not in indices:
-            indices[shape] = [f"{i},{j}," for i in range(shape[0]) for j in range(shape[1])]
+    def parts(m):
+        k, z = next(values)
+        if k < half:
+            real, imag = _parts(m)
+            kept[k] = _kept_for_mirror(real, imag, m.shape[0])
+        else:
+            real, imag = _mirror_parts(m, kept.pop(k - half))
+        if m.shape not in indices:
+            indices[m.shape] = [f"{i},{j}," for i in range(m.shape[0]) for j in range(m.shape[1])]
         head = f"{z.real!r},{z.imag!r},"
-        lines = zip(repeat(head), indices[shape], real, repeat(","), imag, repeat("\n"))
+        lines = zip(repeat(head), indices[m.shape], real, repeat(","), imag, repeat("\n"))
         write("".join(map("".join, lines)))
+        return real, imag
 
-    return rows
+    return parts
 
 
 def _build_parser() -> argparse.ArgumentParser:

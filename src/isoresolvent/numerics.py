@@ -129,7 +129,7 @@ def identity(n: int) -> np.ndarray:
 def max_abs(m) -> float:
     """Entrywise max-abs; the operator-equality metric of the policy."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def _gram_residual(basis: np.ndarray) -> float:
@@ -142,7 +142,9 @@ def _gram_residual(basis: np.ndarray) -> float:
     if not k:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = max_abs(basis.conj().T @ basis - np.eye(k))
+        gram = basis.conj().T @ basis
+        gram.ravel()[:: k + 1] -= 1  # the diagonal, in place: the product is a fresh contiguous array
+        residual = max_abs(gram)
     return residual if residual == residual else math.inf
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extensions import DefectFrame, ParameterFamily
+from .extensions import DefectFrame, FamilyEvaluationError, ParameterFamily
 from .isometry import IsometricOperator
 from .numerics import (
     DEFAULT_TOL,
@@ -40,7 +40,7 @@ __all__ = [
     "chumakin",
     "inin",
     "exterior_value",
-    "spectral_data",
+    "reflect",
     "verify_inversion",
     "herglotz_samples",
     "herglotz_check",
@@ -135,18 +135,23 @@ class ResolventFn:
         raise ValueError("the two branches meet the circle only through the gap criteria")
 
 
+def reflect(inner: np.ndarray) -> np.ndarray:
+    """The reflection identity: E - inner^H, the exterior value at 1/conj(z)
+    when ``inner`` is the interior value at z."""
+    return identity(inner.shape[0]) - inner.conj().T
+
+
 def exterior_value(r: ResolventFn, z) -> np.ndarray:
-    """Exterior branch via the reflection identity: E - (interior at 1/conj(z))^H."""
+    """Exterior branch: :func:`reflect` of the interior value at 1/conj(z)."""
     z = complex(z)
     if abs(z) <= 1.0:
         raise ValueError("exterior branch requires |z| > 1")
-    inner = r.interior(1.0 / z.conjugate())
-    return identity(r.v.ambient_dim) - inner.conj().T
-
-
-def spectral_data(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
-    """Spectral measure of an in-space unitary extension, atoms ordered by angle."""
-    return unitary_eig(u, tol)
+    w = 1.0 / z.conjugate()
+    try:
+        inner = r.interior(w)
+    except FamilyEvaluationError as exc:
+        raise FamilyEvaluationError(f"no exterior value at {z!r}, reflected to {w!r}: {exc}") from exc
+    return reflect(inner)
 
 
 def verify_inversion(u, samples, tol: TolerancePolicy = DEFAULT_TOL) -> float:

@@ -177,6 +177,17 @@ class TestCommands:
             assert [float(value_re), float(value_im)] == point["matrix"][int(i)][int(j)]
         assert_csv_matches_json(out_path.read_text(), (tmp_path / "report.json.csv").read_text())
 
+    def test_exterior_error_names_the_requested_point(self, tmp_path, capsys):
+        """A table has no value at the reflection of an exterior point; the
+        error names the requested point as well as its reflection."""
+        lam = np.exp(0.25j * math.pi)
+        points = [{"zeta": [lam.real, lam.imag], "matrix": [[[1.0, 0.0]]]}]
+        path = write_scenario(tmp_path, e1_scenario(family={"kind": "table", "points": points}))
+        assert main([path, "resolvent", "--zeta", "1.5", "-0.7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(complex(1.5, -0.7)) in err and repr(1 / complex(1.5, 0.7)) in err
+
     def test_gap_scan_certified(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario())
         code = main(
@@ -466,6 +477,15 @@ class TestScenarioArrays:
         assert cols.shape == want.T.shape and cols.copy().tobytes() == want.T.copy().tobytes()
 
 
+def unitary_c2_scenario():
+    """V swaps e1 and e2 on all of C^2, so both defect spaces are 0-dimensional."""
+    doc = e1_scenario()
+    doc["domain_basis"] = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    doc["image_basis"] = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    doc["family"]["matrix"] = []
+    return doc
+
+
 def _lists(obj):
     """``obj`` with its matrices as the nested [re, im] lists they stand for."""
     if isinstance(obj, np.ndarray):
@@ -482,6 +502,16 @@ _matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
     lambda shape: st.lists(
         st.builds(complex, _finite_floats, _finite_floats), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
     ).map(lambda values: np.array(values, dtype=complex).reshape(shape))
+)
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]), _finite_floats)
+_square_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.builds(complex, _parts, _parts), min_size=n * n, max_size=n * n).map(
+            lambda values: np.array(values, dtype=complex).reshape(n, n)
+        ),
+        min_size=1,
+        max_size=3,
+    )
 )
 _reports = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), _finite_floats, st.text(), _matrices),
@@ -534,11 +564,7 @@ class TestReportBytes:
 
     def test_zero_column_basis_and_negative_zero(self, tmp_path, capsys):
         """V unitary on C^2: the defect space N is 0-dimensional, an n x 0 block."""
-        doc = e1_scenario()
-        doc["domain_basis"] = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-        doc["image_basis"] = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
-        doc["family"]["matrix"] = []
-        path = write_scenario(tmp_path, doc)
+        path = write_scenario(tmp_path, unitary_c2_scenario())
         assert main([path, "defect", "--zeta", "0.3", "0.2"]) == 0
         written = capsys.readouterr().out
         assert written == json.dumps(strict_loads(written), indent=2) + "\n"
@@ -656,6 +682,77 @@ class TestShortcutsKeepBytes:
         assert used["inverses"] or command[0] == "gap-scan"  # no inverse in a scan at z0 = 0
         assert used["M-space SVDs"] or command[0] == "resolvent" or defeated[0] == 2
         assert defeated == shipped
+
+
+class TestGridMirrors:
+    """``resolvent --grid`` writes at each mirror 1/conj(z) the value
+    E - R(z)^H of the interior value R(z), token for token."""
+
+    @staticmethod
+    def grid_report(tmp_path, doc, count):
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert main([path, "resolvent", "--grid", str(count), "--out", str(out)]) == 0
+        return out.read_text(), (tmp_path / "report.json.csv").read_text()
+
+    @staticmethod
+    def value(matrix):
+        return np.array([[complex(float(re), float(im)) for re, im in row] for row in matrix])
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(e1_scenario(), id="e1"),
+            pytest.param(unitary_c2_scenario(), id="unitary-c2"),
+            pytest.param(random_scenario(16, 12, (0.2, -0.1)), id="n16-z0"),
+            pytest.param(blaschke_scenario(), id="blaschke-z0"),
+            pytest.param(random_scenario(3, 0, (0.2, -0.1)), id="empty-domain-z0"),  # +-0.0 parts
+        ],
+    )
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_mirrors_are_exact(self, tmp_path, capsys, scenario, count):
+        written, csv_text = self.grid_report(tmp_path, scenario, count)
+        assert written == json.dumps(strict_loads(written), indent=2) + "\n"
+        assert_csv_matches_json(written, csv_text)
+        points = strict_loads(written, parse_float=str)["points"]
+        assert len(points) == 2 * count
+        for inner, mirror in zip(points[:count], points[count:]):
+            z = complex(*map(float, inner["zeta"]))
+            assert list(map(float, mirror["zeta"])) == [(1 / z.conjugate()).real, (1 / z.conjugate()).imag]
+            r = self.value(inner["matrix"])
+            want = np.eye(len(r), dtype=complex) - r.conj().T
+            assert mirror["matrix"] == [[[repr(x.real), repr(x.imag)] for x in row] for row in want.tolist()]
+
+    @given(_square_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_writer_mirrors_match_json_dumps(self, inner):
+        """Mirrors of values with +-0.0, subnormal and huge parts, which no
+        solve need produce, through the grid writer."""
+        grid = [complex(0.2 * (k + 1), -0.1) for k in range(len(inner))]
+        grid += [1 / z.conjugate() for z in grid]
+        values = inner + [resolvents.reflect(m) for m in inner]
+        report = {"points": [{"zeta": [z.real, z.imag], "matrix": m} for z, m in zip(grid, values)]}
+        chunks, rows = [], []
+        cli._write_report(report, chunks.append, cli._csv_rows(rows.append, grid))
+        assert "".join(chunks) == json.dumps(_lists(report), indent=2) + "\n"
+        assert_csv_matches_json("".join(chunks), "".join(rows))
+
+    def test_mirror_formats_only_its_diagonal_and_zero_parts(self, tmp_path, capsys, monkeypatch):
+        n = 16
+        sizes = []
+        original = cli._tokens
+
+        def counted(values):
+            sizes.append(values.size)
+            return original(values)
+
+        monkeypatch.setattr(cli, "_tokens", counted)
+        written, _ = self.grid_report(tmp_path, random_scenario(n, 12, (0.2, -0.1)), 2)
+        fresh = []
+        for point in strict_loads(written)["points"][2:]:
+            m = self.value(point["matrix"])
+            fresh += [n + int(np.sum((m.real == 0) & ~np.eye(n, dtype=bool))), int(np.sum(m.imag == 0))]
+        assert sizes == [n * n] * 4 + fresh
 
 
 # A leading space keeps argparse from reading a negative number such as

@@ -269,11 +269,11 @@ class TestArcScan:
         # For constant unitary parameters the scan verdict must match the
         # spectral picture: certified exactly when no atom of the extension
         # lies in the reflected arc, granted the samples can see the atoms.
-        from isoresolvent import Subspace, gap_on_arc, spectral_data
+        from isoresolvent import Subspace, gap_on_arc, unitary_eig
 
         fam = self.certified_setup(e1)
         u = extend_full(e1, 0.0, fam.constant).matrix
-        sd = spectral_data(u)
+        sd = unitary_eig(u)
         arc_clear = (math.pi / 4, 3 * math.pi / 4)
         arc_hit = (math.pi / 2, 3 * math.pi / 2)
         for arc, expected in ((arc_clear, True), (arc_hit, False)):

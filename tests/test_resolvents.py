@@ -23,7 +23,7 @@ from isoresolvent import (
     max_abs,
     orthogonal_extension,
     recover_parameter,
-    spectral_data,
+    unitary_eig,
     verify_inversion,
 )
 from isoresolvent.sampling import (
@@ -152,11 +152,11 @@ class TestExteriorBranch:
 
 class TestSpectralData:
     def test_examples(self):
-        data = spectral_data(np.diag([1.0, -1.0]).astype(complex))
+        data = unitary_eig(np.diag([1.0, -1.0]).astype(complex))
         assert [round(a.angle, 12) for a in data.atoms] == [0.0, round(math.pi, 12)]
-        data = spectral_data(np.eye(3, dtype=complex))
+        data = unitary_eig(np.eye(3, dtype=complex))
         assert len(data.atoms) == 1
-        swap = spectral_data(np.array([[0, 1], [1, 0]], dtype=complex))
+        swap = unitary_eig(np.array([[0, 1], [1, 0]], dtype=complex))
         assert_allclose(swap.atoms[0].projector, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
@@ -216,7 +216,7 @@ class TestHerglotz:
 
 class TestGapOnArc:
     def test_swap_matrix_arcs(self):
-        sd = spectral_data(np.array([[0, 1], [1, 0]], dtype=complex))
+        sd = unitary_eig(np.array([[0, 1], [1, 0]], dtype=complex))
         full = Subspace.full(2)
         assert gap_on_arc(sd, full, (math.pi / 4, 3 * math.pi / 4))[0]
         assert gap_on_arc(sd, full, (0.0001, math.pi / 2))[0]
@@ -225,11 +225,11 @@ class TestGapOnArc:
         assert witnesses and abs(witnesses[0][1] - math.pi) <= 1e-9
 
     def test_empty_arc_interior(self):
-        sd = spectral_data(np.eye(2, dtype=complex))
+        sd = unitary_eig(np.eye(2, dtype=complex))
         assert gap_on_arc(sd, Subspace.full(2), (1.0, 2.0))[0]
 
     def test_bad_arc_rejected(self):
-        sd = spectral_data(np.eye(2, dtype=complex))
+        sd = unitary_eig(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
             gap_on_arc(sd, Subspace.full(2), (2.0, 1.0))
 
@@ -264,7 +264,7 @@ class TestBoundaryEquivalence:
     def test_gap_implies_gluing_on_reflected_samples(self, e1):
         r = ResolventFn(e1, unit_family(e1))
         u = extend_full(e1, 0.0, r.fam.constant).matrix
-        sd = spectral_data(u)
+        sd = unitary_eig(u)
         arc = (math.pi / 4, 3 * math.pi / 4)
         assert gap_on_arc(sd, Subspace.full(2), arc)[0]
         # The resolvent continues across the conjugated arc.
@@ -276,7 +276,7 @@ class TestBoundaryEquivalence:
     def test_atom_inside_arc_blocks_gluing_at_hit_sample(self, e1):
         r = ResolventFn(e1, unit_family(e1))
         u = extend_full(e1, 0.0, r.fam.constant).matrix
-        sd = spectral_data(u)
+        sd = unitary_eig(u)
         arc = (math.pi / 2, 3 * math.pi / 2)
         assert not gap_on_arc(sd, Subspace.full(2), arc)[0]
         hit = False
