@@ -301,6 +301,8 @@ def _cmd_defect(scenario: Scenario, args) -> tuple[dict, int]:
 def _cmd_resolvent(scenario: Scenario, args) -> tuple[dict, int, list[complex] | None]:
     r = ResolventFn(scenario.operator, scenario.family, tol=scenario.tol)
     if args.grid is not None:
+        if args.grid < 1:
+            raise ScenarioError("--grid must be a positive integer")
         inner = [(z, r.at(z)) for z in disk_grid(args.grid)]
         values = inner + [(1.0 / z.conjugate(), reflect(m)) for z, m in inner]
         points = [{"zeta": _jsonify_complex(z), "matrix": m} for z, m in values]
@@ -322,6 +324,8 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
     _require_finite("--arc", *args.arc)
     if args.continuity_bound is not None:
         _require_finite("--continuity-bound", args.continuity_bound)
+    if args.samples < 1:
+        raise ScenarioError("--samples must be a positive integer")
     try:
         report = arc_scan(
             scenario.operator,

@@ -22,9 +22,22 @@ so their projection condition has the singular value q_min of the N-space
 projection Q, which the link already measures.  And the regular-type lower
 bound moves by at most ||domain|| |s - s'| between points s and s' (Weyl),
 so the arc scan measures it only where the bound carried from the last
-measurement no longer proves the hypothesis.  What remains per sample is
-the QR of the boundary defect pair, sigma_min(E - lambda T) and the k x k
-work on the defect spaces.
+measurement no longer proves the hypothesis.
+
+A third fact spares the n x n SVD of the direct route for a constant
+unitary parameter, whose extension T is one unitary matrix along the arc:
+sigma_min(E - lambda T) = min_k |1 - lambda mu_k| over the eigenvalues mu_k
+of T, the distance from conj(lambda) to the nearest one.  One eigensolve of
+T per arc gives it at every sample, within a proven bound delta, and the
+SVD is still taken at a sample where delta could put the value on the
+other side of eps_rank, so every verdict is that of the SVD.
+
+Per arc: the defect frame (N_{z0}, the reflected pair, the Cayley
+transform), and for a constant family T with its checks, plus the
+eigensolve of T when the parameter is unitary.  Per sample: the QR of the
+boundary defect pair, the k x k work on the defect spaces and
+sigma_min(E - lambda T), read off the eigenvalues or, for Blaschke, table
+and non-unitary values, by an SVD.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from .numerics import (
     Subspace,
     TolerancePolicy,
     _gram_residual,
+    _split_eigh,
     identity,
     max_abs,
     sigma_min,
@@ -147,6 +161,66 @@ class _RegularFloor:
             self.slope = math.sqrt(1.0 + a.domain_dim * _gram_residual(a.domain_basis))
             self.slack = _SIGMA_ROUNDOFF * a.ambient_dim
         self.point, self.sigma = s, sigma
+
+
+class _ArcSpectrum:
+    """sigma_min(E - lam T) along an arc for one unitary T, read off its
+    eigenvalues: the orthogonal extension of a constant unitary parameter.
+
+    For a normal T with eigenvalues mu_k, sigma_min(E - lam T) is
+    s(lam) = min_k |1 - lam mu_k|, the distance from conj(lam) to the nearest
+    mu_k.  The eigenvalues are computed ones, so the bound is proven from
+    what :func:`_split_eigh` returns: the Rayleigh quotients mu_k, the
+    vectors Z and the residual R = T Z - Z L, L = diag(mu).  Exactly,
+
+        E - lam T = (Z (E - lam L) - lam R) Z^{-1}.
+
+    Let g = n * gram_residual(Z) >= ||Z^H Z - E||, a = sqrt(1 - g) and
+    b = sqrt(1 + g), so the singular values of Z lie in [a, b] and those of
+    Z^{-1} in [1/b, 1/a].  Then sigma_min(Z (E - lam L)) lies in [a s, b s];
+    by Weyl's inequality the term lam R moves it by at most ||R|| <= ||R||_F
+    (|lam| = 1); and the factor Z^{-1} scales it into
+
+        (a s - ||R||_F) / b  <=  sigma_min(E - lam T)  <=  (b s + ||R||_F) / a.
+
+    Both ends lie within delta = (b/a - 1)(1 + max_k |mu_k|) + ||R||_F / a
+    of s, as s <= 1 + max_k |mu_k|.  :meth:`sigma` returns s where it
+    decides the rank verdict as an SVD of E - lam T does, that is where
+    |s - eps_rank| exceeds delta plus ``_SIGMA_ROUNDOFF`` * n, the roundoff
+    allowed the SVD and the forming of s; elsewhere it returns None and the
+    caller measures.  A spectrum whose delta exceeds eps_rank is not used,
+    so a reported sigma_direct is within eps_rank of the exact value, the
+    resolution the policy asks of singular values.  On C^0, s is +inf, as
+    sigma_min of the empty matrix.
+    """
+
+    def __init__(self, mu: np.ndarray, delta: float, tol: TolerancePolicy):
+        self.mu, self.delta, self.eps_rank = mu, delta, tol.eps_rank
+        self.band = delta + _SIGMA_ROUNDOFF * mu.size
+
+    @classmethod
+    def of(cls, frame: DefectFrame, fam: ParameterFamily) -> "_ArcSpectrum | None":
+        """The spectrum for ``fam`` at the frame: for a constant family whose
+        value passes condition 2 (unitary within eps_unit) and whose bound
+        delta is proven within eps_rank, else None."""
+        tol = frame.tol
+        if fam.kind != "constant" or not _boundary_isometry_onto(fam.constant, tol):
+            return None
+        t = frame.extension(fam.constant).matrix
+        try:
+            mu, z, residual = _split_eigh(t, tol)
+        except np.linalg.LinAlgError:
+            return None
+        g = t.shape[0] * _gram_residual(z)
+        if g >= 1.0:
+            return None
+        a, b = math.sqrt(1.0 - g), math.sqrt(1.0 + g)
+        delta = (b / a - 1.0) * (1.0 + float(np.abs(mu).max(initial=0.0))) + float(np.linalg.norm(residual)) / a
+        return cls(mu, delta, tol) if delta <= tol.eps_rank else None
+
+    def sigma(self, lam: complex) -> float | None:
+        s = float(np.abs(1.0 - lam * self.mu).min(initial=math.inf))
+        return None if abs(s - self.eps_rank) <= self.band else s
 
 
 def _gap_operators(frame: DefectFrame, lam, floor: _RegularFloor | None = None) -> GapOperators:
@@ -277,7 +351,11 @@ def surjectivity_criterion(
 
 
 def _boundary_criteria(
-    frame: DefectFrame, c: ContractionOp, lam, floor: _RegularFloor | None = None
+    frame: DefectFrame,
+    c: ContractionOp,
+    lam,
+    floor: _RegularFloor | None = None,
+    spectrum: _ArcSpectrum | None = None,
 ) -> CriteriaReport:
     """Both criteria at one boundary point for the frame's operator, base
     point and policy.
@@ -288,8 +366,10 @@ def _boundary_criteria(
     dimensional as well, and their projection condition is read off q_min
     without an SVD (:func:`_sigma_pm`).  The vectors of C - link are
     computed only on a hit, for the witness.  ``floor`` is the regular-type
-    bound :func:`arc_scan` carries along its samples; the standalone criteria
-    and ``verify`` pass none and measure every point.
+    bound :func:`arc_scan` carries along its samples, and ``spectrum`` the
+    eigenvalues of a constant unitary T, off which sigma_direct is read
+    wherever that decides the rank verdict as the SVD does; the standalone
+    criteria and ``verify`` pass neither and measure every point.
     """
     tol = frame.tol
     ext = frame.extension(c)
@@ -300,7 +380,9 @@ def _boundary_criteria(
     eigen = sigma_cw <= tol.eps_rank
     sigma_pm = _sigma_pm(frame, ops)
     cond_pm = sigma_pm > tol.eps_rank
-    sigma_direct = sigma_min(identity(frame.v.ambient_dim) - lam * ext.matrix)
+    sigma_direct = None if spectrum is None else spectrum.sigma(lam)
+    if sigma_direct is None:
+        sigma_direct = sigma_min(identity(frame.v.ambient_dim) - lam * ext.matrix)
     witness = None
     if eigen:
         _, _, vh = np.linalg.svd(diff)
@@ -406,12 +488,17 @@ def arc_scan(
     Raises PreconditionViolated (tagged with the sample index) when the
     regular-type hypothesis breaks at a sample.
 
-    Per frame (:meth:`DefectFrame.of` at (v, fam.z0, tol)), shared by all
-    samples: N_{z0}, the reflected pair, the Cayley transform and, for a
-    constant family, the orthogonal extension T with all of its checks.  Per
-    sample: the family value, the operators of :func:`build_gap_operators`
-    (N_lambda / M_lambda by one QR, the SVDs of S and Q, the link), the SVD
-    of C - link, and sigma_min of E - lam T; Blaschke and tabulated values
+    Per arc, shared by all samples: the frame (:meth:`DefectFrame.of` at
+    (v, fam.z0, tol)) with N_{z0}, the reflected pair, the Cayley transform
+    and, for a constant family, the orthogonal extension T with all of its
+    checks; for a constant unitary parameter also one eigensolve of T
+    (:class:`_ArcSpectrum`).  Per sample: the family value, the operators of
+    :func:`build_gap_operators` (N_lambda / M_lambda by one QR, the SVDs of
+    S and Q, the link), the SVD of C - link, and sigma_min of E - lam T.
+    That last is read off the eigenvalues of a constant unitary T, within
+    the proven bound delta, except where delta could move it across
+    eps_rank; there, and for Blaschke, tabulated and non-unitary values, it
+    is an SVD, so every verdict is the SVD's.  Blaschke and tabulated values
     get T assembled per sample from the frame's cached parts.  The M-space
     condition takes no SVD (it is q_min), and the regular-type hypothesis is
     measured only where the bound carried from the last measurement,
@@ -431,6 +518,7 @@ def arc_scan(
 
     step = (t2 - t1) / (n_samples + 1)
     floor = _RegularFloor()
+    spectrum = _ArcSpectrum.of(frame, fam)
     samples: list[ArcSample] = []
     previous_value: np.ndarray | None = None
     for j in range(n_samples):
@@ -452,7 +540,7 @@ def arc_scan(
         cond2 = _boundary_isometry_onto(value, tol)
 
         try:
-            report = _boundary_criteria(frame, value, lam, floor)
+            report = _boundary_criteria(frame, value, lam, floor, spectrum)
         except PreconditionViolated as exc:
             raise PreconditionViolated(f"sample {j} at angle {angle:.6f}: {exc}") from exc
 

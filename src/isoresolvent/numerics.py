@@ -15,8 +15,9 @@ are the Gram-Schmidt basis of the kept ones, the trailing ones the
 complement, each rotated so its first significant entry is real positive.
 
 numpy is the only dependency: the QR runs LAPACK's ``zgeqrf``/``zungqr``
-through ``numpy.linalg.lapack_lite``, and spectra come from one Hermitian
-eigensolve (:func:`unitary_eig`).
+through ``numpy.linalg.lapack_lite``, and the spectra of unitary matrices
+come from one Hermitian eigensolve (:func:`_split_eigh`), for
+:func:`unitary_eig` and for the arc scan of a constant unitary parameter.
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def subspace_gap(s1: Subspace, s2: Subspace) -> float:
     return operator_norm(projector(s1) - projector(s2))
 
 
-# The alphas of :func:`unitary_eig`.  They are transcendental, so no two
+# The alphas of :func:`_split_eigh`.  They are transcendental, so no two
 # eigenvalue angles that are rational multiples of pi ever meet.
 _SPLIT = (1.0 / math.pi, math.e / 2.0, 1.0 / math.e)
 
@@ -388,13 +389,34 @@ def _seam_angle(theta):
     return np.where(angle >= TWO_PI, 0.0, angle)
 
 
+def _split_eigh(u: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a (numerically) unitary square ``u``
+    from one Hermitian eigensolve.
+
+    A = (U + U^H)/2 and B = (U - U^H)/(2i) commute, so the exactly
+    orthonormal eigenbasis Z of A + alpha*B, the Hermitian part of
+    (1 - i alpha) U times two, is one of U unless two angles meet there
+    (t1 + t2 = 2 atan(alpha)); then the residual R = U Z - Z diag(mu) of the
+    Rayleigh quotients mu_k = z_k^H U z_k exceeds ``eps_unit`` entrywise and
+    the next alpha is tried.  Returns ``(mu, Z, R)``; raises LinAlgError when
+    no alpha separates the eigenvalues.
+    """
+    for alpha in _SPLIT:
+        w = (1.0 - 1j * alpha) * u
+        _, z = np.linalg.eigh(w + w.conj().T)
+        uz = u @ z
+        eigs = np.einsum("ij,ij->j", z.conj(), uz)
+        residual = uz - z * eigs
+        if max_abs(residual) <= tol.eps_unit:
+            return eigs, z, residual
+    raise np.linalg.LinAlgError("no splitting constant separates the eigenvalues of the unitary")
+
+
 def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
     """Spectral measure of a unitary matrix.
 
-    A = (U + U^H)/2 and B = (U - U^H)/(2i) commute, so the exactly
-    orthonormal eigenbasis of A + alpha*B is one of U unless two angles meet
-    there (t1 + t2 = 2 atan(alpha)); then ||U Z - Z diag|| exceeds
-    ``eps_unit`` and the next alpha is tried.  Eigenvalues closer than
+    The eigenvectors come from :func:`_split_eigh`, one Hermitian
+    eigensolve with a residual check.  Eigenvalues closer than
     ``eps_rank`` in angle (including across the 0 / 2*pi seam) are merged
     into one atom.
     """
@@ -406,15 +428,7 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
         return UnitarySpectralData(0, ())
     if _gram_residual(u) > tol.eps_unit:
         raise NonUnitaryOperator("input is not unitary within eps_unit")
-    for alpha in _SPLIT:
-        w = (1.0 - 1j * alpha) * u
-        _, z = np.linalg.eigh(w + w.conj().T)
-        uz = u @ z
-        eigs = np.einsum("ij,ij->j", z.conj(), uz)
-        if max_abs(uz - z * eigs) <= tol.eps_unit:
-            break
-    else:
-        raise np.linalg.LinAlgError("no splitting constant separates the eigenvalues of the unitary")
+    eigs, z, _ = _split_eigh(u, tol)
     angles = _seam_angle(np.angle(eigs))
     order = np.argsort(angles, kind="stable")
     # Gaps to the next angle, the last one across the seam; a cluster ends at

@@ -31,3 +31,18 @@ def svd_shapes(monkeypatch) -> Counter:
 
     monkeypatch.setattr(isoresolvent.numerics, "singular_values", counted)
     return shapes
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch) -> Counter:
+    """Counts numpy.linalg.eigh calls by the shape of their argument, until
+    ``monkeypatch.undo()``."""
+    shapes = Counter()
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes[np.shape(a)] += 1
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes

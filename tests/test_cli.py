@@ -159,6 +159,22 @@ class TestCommands:
         path = write_scenario(tmp_path, e1_scenario())
         assert main([path, "resolvent", "--grid", "4"]) == 1
 
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_resolvent_grid_must_be_positive(self, tmp_path, capsys, grid):
+        path = write_scenario(tmp_path, e1_scenario())
+        out_path = tmp_path / "report.json"
+        assert main([path, "resolvent", "--grid", grid, "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == "error: --grid must be a positive integer\n"
+        assert not list(tmp_path.glob("report.json*"))
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_gap_scan_samples_must_be_positive(self, tmp_path, capsys, samples):
+        path = write_scenario(tmp_path, e1_scenario())
+        assert main([path, "gap-scan", "--arc", "0.5", "2.5", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --samples must be a positive integer\n"
+        assert captured.out == ""
+
     def test_resolvent_grid_csv(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario())
         out_path = tmp_path / "report.json"
@@ -610,12 +626,19 @@ class TestShortcutsKeepBytes:
     """The structural shortcuts change no byte: every command writes the same
     files with the same exit code as with all of them defeated, that is a
     fresh frame per request, an SVD per inverse, a regular-type SVD per arc
-    sample (the floor carried along the arc ignored) and the M-space
-    projection condition taken from an explicit SVD instead of q_min.
+    sample (the floor carried along the arc ignored), the M-space projection
+    condition taken from an explicit SVD instead of q_min, and sigma_direct
+    from an SVD per arc sample instead of the spectrum of a constant
+    unitary T.
 
     :meth:`DefectFrame.of` is the only route to a frame, so "a fresh frame
     per request" covers every consumer: parsing, ``arc_scan``,
-    ``ResolventFn``, ``validate_family`` and the property suite."""
+    ``ResolventFn``, ``validate_family`` and the property suite.
+
+    The spectrum of a constant unitary T is the one shortcut that moves
+    digits: it moves sigma_direct within its proven band and nothing else
+    (:class:`TestArcSpectrumBytes`).  No parameter below is unitary, so it
+    stays unused here."""
 
     @staticmethod
     def run(tmp_path, capsys, path, command):
@@ -677,11 +700,67 @@ class TestShortcutsKeepBytes:
             monkeypatch.setattr(module, "guarded_inverse", no_floor)
         monkeypatch.setattr(gap._RegularFloor, "clears", lambda self, s, tol: False)
         monkeypatch.setattr(gap, "_sigma_pm", svd_pm)
+        monkeypatch.setattr(gap._ArcSpectrum, "of", classmethod(lambda cls, frame, fam: None))
         defeated = self.run(tmp_path, capsys, path, command)
         assert used["fresh frames"]
         assert used["inverses"] or command[0] == "gap-scan"  # no inverse in a scan at z0 = 0
         assert used["M-space SVDs"] or command[0] == "resolvent" or defeated[0] == 2
         assert defeated == shipped
+
+
+def unitary_scenario(doc, seed=0):
+    """``doc`` with its constant parameter replaced by a random unitary one."""
+    k = len(doc["family"]["matrix"])
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    doc["family"]["matrix"] = [[[x.real, x.imag] for x in row] for row in u]
+    return doc
+
+
+class TestArcSpectrumBytes:
+    """gap-scan of a constant unitary parameter reads sigma_direct off one
+    eigensolve of T.  With that shortcut defeated (an SVD per sample) every
+    file, exit code and stderr byte is the same, except the sigma_direct
+    values, which agree within the spectrum's band: its proven bound delta
+    plus roundoff."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(e1_scenario(), id="e1"),
+            pytest.param(e1_scenario(-1j, z0=(0.3, 0.1)), id="e1-z0"),
+            pytest.param(unitary_scenario(random_scenario(9, 6, seed=4), 1), id="n9"),
+            pytest.param(unitary_scenario(random_scenario(16, 12, (-0.2, 0.35), seed=11), 2), id="n16-z0"),
+            pytest.param(unitary_scenario(random_scenario(64, 60, seed=6), 3), id="n64"),
+            pytest.param(unitary_scenario(eigenvector_scenario(), 4), id="eig"),
+            pytest.param(
+                unitary_scenario(random_scenario(8, 5, (0.2, 0.1), seed=3, toler={"eps_rank": 1e-10}), 5),
+                id="toler-z0",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "arc",
+        [(0.5, 2.5, 5), (EIGEN_ANGLE - 0.5, EIGEN_ANGLE + 0.5, 9), (0.0, 2 * math.pi, 40)],
+        ids=["arc", "dip", "circle"],
+    )
+    def test_same_bytes_but_sigma_direct(self, tmp_path, capsys, monkeypatch, scenario, arc):
+        path = write_scenario(tmp_path, scenario, "scenario.in")
+        command = ["gap-scan", "--arc", repr(arc[0]), repr(arc[1]), "--samples", str(arc[2])]
+        shipped = TestShortcutsKeepBytes.run(tmp_path, capsys, path, command)
+        with monkeypatch.context() as m:
+            m.setattr(gap._ArcSpectrum, "of", classmethod(lambda cls, frame, fam: None))
+            defeated = TestShortcutsKeepBytes.run(tmp_path, capsys, path, command)
+        assert shipped[:3] == defeated[:3]
+        parsed = parse_scenario(json.dumps(scenario))
+        fam = parsed.family
+        spectrum = gap._ArcSpectrum.of(DefectFrame.of(parsed.operator, fam.z0, parsed.tol), fam)
+        assert spectrum is not None
+        report, reference = (strict_loads(run[3]["report.json"].decode()) for run in (shipped, defeated))
+        for sample, ref in zip(report.get("samples", []), reference.get("samples", []), strict=True):
+            assert abs(sample["sigma_direct"] - ref["sigma_direct"]) <= spectrum.band
+            ref["sigma_direct"] = sample["sigma_direct"]
+        assert shipped[3]["report.json"] == (json.dumps(reference, indent=2) + "\n").encode()
 
 
 class TestGridMirrors:

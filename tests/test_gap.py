@@ -246,22 +246,31 @@ class TestArcScan:
             arc_scan(e1, sparse, arc, n_samples=9, continuity_bound=0.5)
 
     def test_samples_equal_the_standalone_criterion(self):
-        # Each sample carries exactly the verdicts and singular values that
-        # surjectivity_criterion reports at its point.
+        # Each sample carries exactly the verdicts and sigma_cw that
+        # surjectivity_criterion reports at its point.  Its sigma_direct is
+        # read off the spectrum of the constant unitary T: within the proven
+        # bound delta of the exact sigma_min, so within delta plus roundoff
+        # (the spectrum's band) of the criterion's SVD.
+        from isoresolvent import DefectFrame
+        from isoresolvent.gap import _ArcSpectrum
+
         rng = np.random.default_rng(5)
         compared = 0
         for _ in range(30):
             v = random_isometry(rng, n_max=6)
             c = random_unitary_parameter(rng, v)
+            fam = constant_family(c, 0.0)
             try:
-                report = arc_scan(v, constant_family(c, 0.0), (0.3, 2.9), n_samples=8)
+                report = arc_scan(v, fam, (0.3, 2.9), n_samples=8)
             except PreconditionViolated:
                 continue
+            band = _ArcSpectrum.of(DefectFrame.of(v, 0.0), fam).band
             for s in report.samples:
                 rep = surjectivity_criterion(v, c, s.point)
-                assert (s.cond3_link, s.cond3_direct, s.cond_pm, s.sigma_cw, s.sigma_direct) == (
-                    rep.surjective, rep.crosscheck_rank, rep.cond_pm, rep.sigma_cw, rep.sigma_direct
+                assert (s.cond3_link, s.cond3_direct, s.cond_pm, s.sigma_cw) == (
+                    rep.surjective, rep.crosscheck_rank, rep.cond_pm, rep.sigma_cw
                 )
+                assert abs(s.sigma_direct - rep.sigma_direct) <= band
                 compared += 1
         assert compared >= 200
 
@@ -340,29 +349,80 @@ class TestMSpaceCondition:
 class TestRegularFloor:
     """arc_scan carries the regular-type lower bound from sample to sample."""
 
-    @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
-    def test_one_direct_svd_per_sample(self, z0, svd_shapes):
-        # V = U on span(e_1..e_12) in C^16 with a constant unitary parameter:
-        # n x n is sigma_direct, n x d the regular-type map, d x d the M-space
-        # projection and k x k the link work (S, Q, C - link).
-        from isoresolvent import DefectFrame
+    N, D, K, SAMPLES = 16, 12, 4, 16
+
+    @classmethod
+    def operator(cls):
+        """V = U on span(e_1..e_12) in C^16."""
         from isoresolvent.sampling import random_unitary
 
-        n, d, k, samples = 16, 12, 4, 16
-        u = random_unitary(np.random.default_rng(3), n)
-        v = IsometricOperator(n, np.eye(n)[:, :d], u[:, :d])
-        fam = constant_family(random_unitary_parameter(np.random.default_rng(4), v, z0), z0)
-        frame = DefectFrame.of(v, z0)
-        frame.extension(fam.constant)
+        u = random_unitary(np.random.default_rng(3), cls.N)
+        return IsometricOperator(cls.N, np.eye(cls.N)[:, : cls.D], u[:, : cls.D])
+
+    @classmethod
+    def counted_scan(cls, v, fam, svd_shapes, eigh_shapes):
+        """Scan (0.4, 1.6) with the frame's geometry and T (for a constant
+        family) built beforehand; the SVD and eigh counts are the scan's."""
+        from isoresolvent import DefectFrame
+
+        frame = DefectFrame.of(v, fam.z0)
+        if fam.kind == "constant":
+            frame.extension(fam.constant)
         frame.transform
         svd_shapes.clear()
-        report = arc_scan(v, fam, (0.4, 1.6), n_samples=samples)
-        assert len(report.samples) == samples
-        assert svd_shapes[(n, n)] == samples
+        eigh_shapes.clear()
+        report = arc_scan(v, fam, (0.4, 1.6), n_samples=cls.SAMPLES)
+        assert len(report.samples) == cls.SAMPLES
+        return report
+
+    @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
+    def test_one_direct_svd_per_sample(self, z0, svd_shapes, eigh_shapes):
+        # A constant unitary parameter: sigma_direct is read off one n x n
+        # eigensolve of T per scan, so no n x n SVD is left.  n x d is the
+        # regular-type map, d x d the M-space projection and k x k the link
+        # work (S, Q, C - link).
+        n, d, k, samples = self.N, self.D, self.K, self.SAMPLES
+        v = self.operator()
+        fam = constant_family(random_unitary_parameter(np.random.default_rng(4), v, z0), z0)
+        self.counted_scan(v, fam, svd_shapes, eigh_shapes)
+        assert eigh_shapes == {(n, n): 1}
+        assert svd_shapes[(n, n)] == 0
         assert 1 <= svd_shapes[(n, d)] <= 3
         assert svd_shapes[(d, d)] == 0
         assert svd_shapes[(k, k)] == 3 * samples
-        assert sum(svd_shapes.values()) == samples + svd_shapes[(n, d)] + 3 * samples
+        assert sum(svd_shapes.values()) == svd_shapes[(n, d)] + 3 * samples
+
+    @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
+    @pytest.mark.parametrize("kind", ["blaschke", "non-unitary"])
+    def test_other_families_keep_the_direct_svd(self, z0, kind, monkeypatch, svd_shapes, eigh_shapes):
+        # Blaschke values and non-unitary constants take no eigensolve and
+        # one n x n SVD per sample for sigma_direct.  (A Blaschke value's T
+        # is assembled per sample, and the assembly measures norms by n x n
+        # SVDs of its own, so sigma_min is counted where gap calls it.)
+        from collections import Counter
+
+        from isoresolvent import blaschke_family, gap
+
+        n, samples = self.N, self.SAMPLES
+        v = self.operator()
+        c = random_unitary_parameter(np.random.default_rng(4), v, z0)
+        if kind == "blaschke":
+            fam = blaschke_family(0.3 - 0.4j, c, z0)
+        else:
+            fam = constant_family(defect_parameter(v, z0, 0.5 * c.matrix), z0)
+        direct = Counter()
+        original = gap.sigma_min
+
+        def counted(m):
+            direct[np.shape(m)] += 1
+            return original(m)
+
+        monkeypatch.setattr(gap, "sigma_min", counted)
+        report = self.counted_scan(v, fam, svd_shapes, eigh_shapes)
+        assert not eigh_shapes
+        assert direct[(n, n)] == samples
+        assert svd_shapes[(n, n)] >= samples
+        assert all(s.cond2 == (kind == "blaschke") for s in report.samples)
 
     @staticmethod
     def eigenvector_operator(theta=1.0):
@@ -415,3 +475,148 @@ class TestRegularFloor:
         for t in np.linspace(-3.0, 3.0, 61):
             s = np.exp(1j * t)
             assert regular_type(v, s).sigma_min >= floor.sigma - floor.slope * abs(s - 1.0) - floor.slack
+
+
+class TestArcSpectrum:
+    """For a constant unitary parameter arc_scan reads sigma_direct off one
+    eigensolve of T: within the spectrum's band (its proven bound delta plus
+    roundoff) of an SVD, with every verdict that of the SVD route."""
+
+    @staticmethod
+    def scan_both(monkeypatch, v, fam, arc, n_samples):
+        """The scan as shipped and with the spectrum turned off (an SVD per
+        sample); a PreconditionViolated stands in for a report."""
+        from isoresolvent import gap
+
+        def scan():
+            try:
+                return arc_scan(v, fam, arc, n_samples=n_samples)
+            except PreconditionViolated as exc:
+                return str(exc)
+
+        shipped = scan()
+        with monkeypatch.context() as m:
+            m.setattr(gap._ArcSpectrum, "of", classmethod(lambda cls, frame, fam: None))
+            off = scan()
+        return shipped, off
+
+    @staticmethod
+    def assert_same_verdicts(shipped, off, band):
+        if isinstance(off, str):
+            assert shipped == off
+            return
+        assert shipped.verdict == off.verdict
+        for a, b in zip(shipped.samples, off.samples, strict=True):
+            assert a.failures() == b.failures()
+            assert (a.point, a.cond1, a.cond2, a.cond3_link, a.cond3_direct, a.cond_pm, a.sigma_cw) == (
+                b.point, b.cond1, b.cond2, b.cond3_link, b.cond3_direct, b.cond_pm, b.sigma_cw
+            )
+            assert a.sigma_direct == b.sigma_direct or abs(a.sigma_direct - b.sigma_direct) <= band
+
+    @staticmethod
+    def setup(rng, n, d, z0):
+        from isoresolvent import DefectFrame
+        from isoresolvent.gap import _ArcSpectrum
+        from isoresolvent.sampling import random_unitary
+
+        v = IsometricOperator(n, random_unitary(rng, n)[:, :d], random_unitary(rng, n)[:, :d])
+        fam = constant_family(random_unitary_parameter(rng, v, z0), z0)
+        frame = DefectFrame.of(v, z0)
+        spectrum = _ArcSpectrum.of(frame, fam)
+        assert spectrum is not None and spectrum.delta <= DEFAULT_TOL.eps_rank
+        return v, fam, frame.extension(fam.constant).matrix, spectrum
+
+    @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
+    def test_random_families_agree_with_the_svd(self, monkeypatch, z0):
+        rng = np.random.default_rng(12)
+        scanned = 0
+        for n, d in [(2, 1), (5, 3), (9, 6), (16, 12), (33, 30), (64, 60)] * 2:
+            v, fam, t, spectrum = self.setup(rng, n, d, z0)
+            t1 = rng.uniform(0.0, 5.0)
+            arc = (t1, t1 + rng.uniform(0.2, 1.2))
+            shipped, off = self.scan_both(monkeypatch, v, fam, arc, 11)
+            self.assert_same_verdicts(shipped, off, spectrum.band)
+            if isinstance(shipped, str):
+                continue
+            for s in shipped.samples:
+                exact = np.linalg.svd(np.eye(n) - s.point * t, compute_uv=False)[-1]
+                assert abs(s.sigma_direct - exact) <= spectrum.band
+            scanned += 1
+        assert scanned >= 10
+
+    @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
+    def test_sample_at_an_eigenvalue(self, monkeypatch, z0):
+        # The middle of nine samples is conj(mu) for an eigenvalue mu of T:
+        # E - lam T is singular there, read off the spectrum, and both routes
+        # reject the sample as the SVD route does.
+        v, fam, t, spectrum = self.setup(np.random.default_rng(8), 16, 12, z0)
+        theta = float(np.mod(-np.angle(spectrum.mu[5]), 2 * math.pi))
+        arc = (theta - 0.05, theta + 0.05)
+        shipped, off = self.scan_both(monkeypatch, v, fam, arc, 9)
+        self.assert_same_verdicts(shipped, off, spectrum.band)
+        hit = shipped.samples[4]
+        assert spectrum.sigma(hit.point) is not None
+        assert hit.sigma_direct <= 1e-14
+        assert hit.failures() == ["condition-3"] and not hit.cond3_link
+        assert shipped.verdict == NOT_CERTIFIED
+
+    @pytest.mark.parametrize("case", ["e1", "n16-z0"])
+    def test_sample_in_the_band_takes_the_svd(self, monkeypatch, svd_shapes, e1, case):
+        # The middle of nine samples lies eps_rank in angle from conj(mu), so
+        # its s = |1 - lam mu| is eps_rank to roundoff: the spectrum cannot
+        # decide the rank verdict there, and that one sample takes the SVD.
+        from isoresolvent import DefectFrame
+        from isoresolvent.gap import _ArcSpectrum
+
+        if case == "e1":
+            # C = 1 makes T the swap of e1 and e2, with eigenvalues +-1.
+            v = e1
+            fam = constant_family(defect_parameter(v, 0.0, [[1.0]]), 0.0)
+            spectrum = _ArcSpectrum.of(DefectFrame.of(v, 0.0), fam)
+            mu = -1.0
+        else:
+            v, fam, _, spectrum = self.setup(np.random.default_rng(8), 16, 12, 0.3 - 0.2j)
+            mu = spectrum.mu[3]
+        n = v.ambient_dim
+        theta = float(np.mod(-np.angle(mu), 2 * math.pi)) + DEFAULT_TOL.eps_rank
+        arc = (theta - 0.5, theta + 0.5)
+        svd_shapes.clear()
+        shipped = arc_scan(v, fam, arc, n_samples=9)
+        assert svd_shapes[(n, n)] == 1
+        band = [s for s in shipped.samples if spectrum.sigma(s.point) is None]
+        assert [s.index for s in band] == [4]
+        assert abs(band[0].sigma_direct - DEFAULT_TOL.eps_rank) <= spectrum.band
+        _, off = self.scan_both(monkeypatch, v, fam, arc, 9)
+        self.assert_same_verdicts(shipped, off, spectrum.band)
+        assert shipped.samples[4].sigma_direct == off.samples[4].sigma_direct
+
+    def test_empty_space(self, monkeypatch):
+        v = IsometricOperator(0, np.zeros((0, 0)), np.zeros((0, 0)))
+        fam = constant_family(defect_parameter(v, 0.0, np.zeros((0, 0))), 0.0)
+        shipped, off = self.scan_both(monkeypatch, v, fam, (0.5, 1.0), 2)
+        self.assert_same_verdicts(shipped, off, 0.0)
+        assert shipped.certified and shipped.samples[0].sigma_direct == math.inf
+
+    def test_non_unitary_and_loose_spectra_are_not_used(self, e1):
+        from isoresolvent import DefectFrame, TolerancePolicy, blaschke_family
+        from isoresolvent.gap import _ArcSpectrum
+
+        frame = DefectFrame.of(e1, 0.0)
+        assert _ArcSpectrum.of(frame, constant_family(defect_parameter(e1, 0.0, [[0.5]]), 0.0)) is None
+        u0 = defect_parameter(e1, 0.0, [[1.0]])
+        assert _ArcSpectrum.of(frame, blaschke_family(0.2, u0, 0.0)) is None
+        # A parameter unitary within eps_unit = 1e-8 but not to roundoff
+        # makes T non-normal: delta is about 3e-9, so its spectrum serves
+        # under eps_rank = 1e-8 and not under eps_rank = 1e-12.
+        for eps_rank, used in ((1e-8, True), (1e-12, False)):
+            tol = TolerancePolicy(eps_rank=eps_rank)
+            v = IsometricOperator(2, [[1], [0]], [[0], [1]])
+            loose = constant_family(defect_parameter(v, 0.0, [[1.0 + 4e-9]], tol), 0.0)
+            spectrum = _ArcSpectrum.of(DefectFrame.of(v, 0.0, tol), loose)
+            assert (spectrum is not None) == used
+            if used:
+                assert 1e-9 <= spectrum.delta <= eps_rank
+                t = DefectFrame.of(v, 0.0, tol).extension(loose.constant).matrix
+                for lam in np.exp(1j * np.linspace(0.0, 2 * math.pi, 73)):
+                    s = float(np.abs(1.0 - lam * spectrum.mu).min())
+                    assert abs(s - np.linalg.svd(np.eye(2) - lam * t, compute_uv=False)[-1]) <= spectrum.band
