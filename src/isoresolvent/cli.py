@@ -322,8 +322,8 @@ def _cmd_gap_scan(scenario: Scenario, args) -> tuple[dict, int]:
     if not args.arc:
         raise ScenarioError("gap-scan needs --arc t1 t2")
     _require_finite("--arc", *args.arc)
-    if args.continuity_bound is not None:
-        _require_finite("--continuity-bound", args.continuity_bound)
+    if args.continuity_bound is not None and not 0.0 <= args.continuity_bound < math.inf:
+        raise ScenarioError("--continuity-bound must be a finite nonnegative number")
     if args.samples < 1:
         raise ScenarioError("--samples must be a positive integer")
     try:

@@ -477,7 +477,7 @@ def arc_scan(
 
     1. continuity of the extended family: structural for the constant and
        blaschke kinds, successive-sample deviation <= ``continuity_bound``
-       for tabulated kinds (the bound is then required);
+       for tabulated kinds (then required; a negative or NaN one is refused);
     2. the boundary value maps the source defect space isometrically onto
        the target one, within eps_unit;
     3. invertibility of E - lam * (orthogonal extension at lam), computed
@@ -513,6 +513,8 @@ def arc_scan(
         raise ValueError("need at least one sample")
     if fam.kind == "table" and continuity_bound is None:
         raise ValueError("tabulated families need an explicit continuity bound")
+    if continuity_bound is not None and not continuity_bound >= 0.0:
+        raise ValueError(f"the continuity bound must be nonnegative, got {continuity_bound!r}")
     cont_label = "structural" if fam.kind in ("constant", "blaschke") else "sampled-modulus"
     frame = DefectFrame.of(v, fam.z0, tol)
 

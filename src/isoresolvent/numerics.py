@@ -354,32 +354,37 @@ _SPLIT = (1.0 / math.pi, math.e / 2.0, 1.0 / math.e)
 
 @dataclass(frozen=True)
 class SpectralAtom:
-    """One point of a finite unitary spectral measure."""
+    """One point of a finite unitary spectral measure; ``vectors`` is an orthonormal basis of its eigenspace."""
 
     value: complex
     angle: float
-    projector: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.vectors @ self.vectors.conj().T
 
 
 @dataclass(frozen=True)
 class UnitarySpectralData:
-    """Eigen-structure of a unitary matrix: unimodular atoms with mutually
-    orthogonal projectors resolving the identity, ordered by angle."""
+    """Eigen-structure of a unitary matrix: unimodular atoms ordered by angle,
+    whose orthonormal blocks side by side form one unitary matrix Z."""
 
     dim: int
     atoms: tuple[SpectralAtom, ...]
 
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Z, the atoms' blocks side by side, and the value of each column."""
+        z = np.hstack([np.zeros((self.dim, 0), dtype=complex), *(a.vectors for a in self.atoms)])
+        return z, np.repeat([a.value for a in self.atoms], [a.vectors.shape[1] for a in self.atoms])
+
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for atom in self.atoms:
-            out += atom.value * atom.projector
-        return out
+        z, values = self._columns()
+        return (z * values) @ z.conj().T
 
     def projector_sum(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for atom in self.atoms:
-            out += atom.projector
-        return out
+        z, _ = self._columns()
+        return z @ z.conj().T
 
 
 def _seam_angle(theta):
@@ -418,7 +423,7 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
     The eigenvectors come from :func:`_split_eigh`, one Hermitian
     eigensolve with a residual check.  Eigenvalues closer than
     ``eps_rank`` in angle (including across the 0 / 2*pi seam) are merged
-    into one atom.
+    into one atom, which keeps their eigenvector columns.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -438,12 +443,10 @@ def unitary_eig(u, tol: TolerancePolicy = DEFAULT_TOL) -> UnitarySpectralData:
     start = ends[-1] + 1 if ends.size else n
     atoms = []
     for members in np.split(np.roll(order, -start), ends[:-1] + 1 + n - start):
-        cols = z[:, members]
-        proj = cols @ cols.conj().T
         mean = complex(np.sum(eigs[members]))
         value = mean / abs(mean)
         angle = float(_seam_angle(np.angle(value)))
-        atoms.append(SpectralAtom(value, angle, proj))
+        atoms.append(SpectralAtom(value, angle, z[:, members]))
     atoms.sort(key=lambda a: a.angle)
     return UnitarySpectralData(n, tuple(atoms))
 

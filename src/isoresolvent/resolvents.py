@@ -9,7 +9,8 @@ interest is the pair of branches.
 
 Spectral measures are extracted only for in-space unitary extensions (equal
 defect dimensions and a unitary parameter); in finite dimension they are
-finite lists of unimodular atoms with orthogonal projector weights.
+finite lists of unimodular atoms whose projector weights Z_k Z_k^H are held
+as their eigenvector blocks Z_k.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def _interior(frame: DefectFrame, fam: ParameterFamily, zeta: complex) -> np.nda
     sigma_min(E - zeta T) >= 1 - |zeta| ||T||, the floor that spares the
     inverse its SVD away from the circle.
     """
+    if abs(zeta) >= 1.0:
+        raise ValueError("interior formula requires |zeta| < 1")
     ext = frame.extension(fam.value_at(zeta, frame.tol))
     n = frame.v.ambient_dim
     return guarded_inverse(
@@ -72,12 +75,9 @@ def chumakin(
     Always nonsingular for |zeta| < 1 because the extended operator is a
     contraction.  The family must be based at 0.
     """
-    zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
-        raise ValueError("interior formula requires |zeta| < 1")
     if fam.z0 != 0:
         raise ValueError("family must be based at 0")
-    return _interior(DefectFrame.of(v, 0j, tol), fam, zeta)
+    return _interior(DefectFrame.of(v, 0j, tol), fam, complex(zeta))
 
 
 def inin(
@@ -88,10 +88,7 @@ def inin(
 
     Coincides with :func:`chumakin` for a family based at 0.
     """
-    zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
-        raise ValueError("interior formula requires |zeta| < 1")
-    return _interior(DefectFrame.of(v, fam.z0, tol), fam, zeta)
+    return _interior(DefectFrame.of(v, fam.z0, tol), fam, complex(zeta))
 
 
 @dataclass(frozen=True)
@@ -120,10 +117,7 @@ class ResolventFn:
 
     def interior(self, zeta) -> np.ndarray:
         """Value at |zeta| < 1 by the orthogonal-extension formula (:func:`inin`)."""
-        zeta = complex(zeta)
-        if abs(zeta) >= 1.0:
-            raise ValueError("interior formula requires |zeta| < 1")
-        return _interior(self.frame, self.fam, zeta)
+        return _interior(self.frame, self.fam, complex(zeta))
 
     def at(self, z) -> np.ndarray:
         """Value on either branch; points of the unit circle are rejected."""
@@ -157,24 +151,22 @@ def exterior_value(r: ResolventFn, z) -> np.ndarray:
 def verify_inversion(u, samples, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Residual of the inversion formula linking resolvent and spectral measure.
 
-    For a unitary U with atoms (lambda_k, P_k) the identity
+    For a unitary U with atoms (lambda_k, P_k = Z_k Z_k^H) the identity
     ((E - zU)^{-1} h, g) = sum_k (P_k h, g) / (1 - z lambda_k) must hold at
     every interior z.  ``samples`` is a list of (z, h, g) triples; returns
     the max absolute deviation (caller asserts it below 10 * eps_eq).
     """
     u = as_matrix(u)
     n = u.shape[0]
-    data = unitary_eig(u, tol)
+    blocks, values = unitary_eig(u, tol)._columns()
+    adjoint = blocks.conj().T
     worst = 0.0
     for z, h, g in samples:
         z = complex(z)
         h = np.asarray(h, dtype=complex).reshape(-1)
         g = np.asarray(g, dtype=complex).reshape(-1)
-        resolvent_h = np.linalg.solve(identity(n) - z * u, h)
-        lhs = complex(np.vdot(g, resolvent_h))
-        rhs = 0j
-        for atom in data.atoms:
-            rhs += complex(np.vdot(g, atom.projector @ h)) / (1.0 - z * atom.value)
+        lhs = complex(np.vdot(g, np.linalg.solve(identity(n) - z * u, h)))
+        rhs = complex(np.vdot(adjoint @ g, (adjoint @ h) / (1.0 - z * values)))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -221,17 +213,18 @@ def gap_on_arc(
     The arc is the angle interval (t1, t2) within [0, 2*pi]; wrapping arcs
     are supplied as two arcs.  ``embed`` is the subspace playing H inside the
     extension space (the full space for in-space extensions).  Returns
-    (gap, witnesses) where witnesses lists the offending atoms as
-    (atom index, angle, compressed weight norm).
+    (gap, witnesses) where witnesses lists the offending atoms as (atom
+    index, angle, compressed weight ||P_E P_k P_E|| = ||embed^H Z_k||^2).
     """
     t1, t2 = float(arc[0]), float(arc[1])
     if not (0.0 <= t1 < t2 <= TWO_PI):
         raise ValueError("arc must satisfy 0 <= t1 < t2 <= 2*pi")
-    p_embed = embed.basis @ embed.basis.conj().T
+    if embed.ambient_dim != sd.dim:
+        raise ValueError(f"embed lives in dimension {embed.ambient_dim}, the spectral data in {sd.dim}")
     witnesses = []
     for index, atom in enumerate(sd.atoms):
         if t1 < atom.angle < t2:
-            weight = operator_norm(p_embed @ atom.projector @ p_embed)
+            weight = operator_norm(atom.vectors.conj().T @ embed.basis) ** 2
             if weight > tol.eps_eq:
                 witnesses.append((index, atom.angle, weight))
     return not witnesses, witnesses

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -46,3 +47,20 @@ def eigh_shapes(monkeypatch) -> Counter:
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return shapes
+
+
+@pytest.fixture
+def tracemalloc_peak():
+    """``peak(fn, *args)``: the tracemalloc peak, in MB, of one call of
+    ``fn(*args)`` after one untraced warm-up call."""
+
+    def peak(fn, *args) -> float:
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    return peak

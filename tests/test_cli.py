@@ -175,6 +175,21 @@ class TestCommands:
         assert captured.err == "error: --samples must be a positive integer\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bound", ["-1", "-1e-300", "nan", "inf"])
+    def test_gap_scan_continuity_bound_must_be_nonnegative(self, tmp_path, capsys, bound):
+        # Table points at 0.5 + k/3: samples 2 on (0.5, 1.5) fall on two of them.
+        points = [
+            {"zeta": [math.cos(0.5 + k / 3), math.sin(0.5 + k / 3)], "matrix": [[[math.cos(0.05 * k), math.sin(0.05 * k)]]]}
+            for k in range(4)
+        ]
+        path = write_scenario(tmp_path, e1_scenario(family={"kind": "table", "points": points}))
+        argv = [path, "gap-scan", "--arc", "0.5", "1.5", "--samples", "2"]
+        assert main([*argv, f"--continuity-bound={bound}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --continuity-bound must be a finite nonnegative number\n"
+        assert captured.out == ""
+        assert main([*argv, "--continuity-bound=0.1"]) == 0
+
     def test_resolvent_grid_csv(self, tmp_path, capsys):
         path = write_scenario(tmp_path, e1_scenario())
         out_path = tmp_path / "report.json"

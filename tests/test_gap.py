@@ -245,6 +245,18 @@ class TestArcScan:
         with pytest.raises(FamilyEvaluationError):
             arc_scan(e1, sparse, arc, n_samples=9, continuity_bound=0.5)
 
+    @pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan])
+    def test_continuity_bound_must_be_nonnegative(self, e1, bound):
+        from isoresolvent import table_family
+
+        c = defect_parameter(e1, 0.0, [[1.0]])
+        table = table_family([(np.exp(1j * (0.5 + k / 3)), c) for k in range(4)], 0.0)
+        for fam in (table, constant_family(c, 0.0)):
+            with pytest.raises(ValueError, match="continuity bound must be nonnegative"):
+                arc_scan(e1, fam, (0.5, 1.5), n_samples=2, continuity_bound=bound)
+        # A bound of 0 is a bound: the table's equal values meet it.
+        assert arc_scan(e1, table, (0.5, 1.5), n_samples=2, continuity_bound=0.0).verdict == GAP_CERTIFIED
+
     def test_samples_equal_the_standalone_criterion(self):
         # Each sample carries exactly the verdicts and sigma_cw that
         # surjectivity_criterion reports at its point.  Its sigma_direct is

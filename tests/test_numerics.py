@@ -331,6 +331,42 @@ class TestUnitaryEig:
             for i, a in enumerate(data.atoms):
                 for b in data.atoms[i + 1 :]:
                     assert max_abs(a.projector @ b.projector) <= 10 * DEFAULT_TOL.eps_eq
+        # U = Q diag(exp(i angles)) Q^H with cluster centers at least
+        # 2*pi/32 apart, so each cluster's projector Q_c Q_c^H is known to
+        # roundoff.  A third of the draws are simple, a third hold clusters
+        # spread by up to 6e-10 (one atom under eps_rank), and a third put a
+        # cluster on the 0 / 2*pi seam, straddling it by 1e-17 or 3e-10.
+        for draw in range(1200):
+            n = int(rng.integers(1, 9))
+            kind = draw % 3
+            k = n if kind == 0 else int(rng.integers(1, n + 1))
+            centers = (rng.permutation(16)[:k] + rng.uniform(-0.25, 0.25, k)) * 2 * math.pi / 16
+            if kind == 2:
+                centers[0] = 0.0
+            labels = np.arange(n) if kind == 0 else rng.integers(0, k, n)
+            angles = centers[labels] + (0.0 if kind == 0 else rng.choice([0.0, 1e-17, -1e-17, 3e-10, -3e-10], n))
+            q = random_unitary(rng, n)
+            u = (q * np.exp(1j * angles)) @ q.conj().T
+            data = unitary_eig(u)
+            clusters = sequential_clusters(np.mod(angles, 2 * math.pi), DEFAULT_TOL.eps_rank)
+            assert len(data.atoms) == len(clusters)
+            # Each block orthonormal, blocks mutually orthogonal: together unitary.
+            blocks = np.hstack([a.vectors for a in data.atoms])
+            assert blocks.shape == (n, n)
+            assert max_abs(blocks.conj().T @ blocks - np.eye(n)) <= 1e-12
+            # A merged atom's value is its members' mean, up to 6e-10 off theirs.
+            assert max_abs(data.reconstruct() - u) <= 1e-9
+            assert max_abs(data.projector_sum() - np.eye(n)) <= 1e-12
+            for atom in data.atoms:
+                (cluster,) = [c for c in clusters if abs(np.exp(1j * angles[c[0]]) - atom.value) <= 1e-9]
+                assert atom.vectors.shape == (n, len(cluster))
+                reference = q[:, cluster] @ q[:, cluster].conj().T
+                assert max_abs(atom.projector - reference) <= 1e-12
+
+    def test_peak_memory_is_linear_in_the_blocks(self, rng, tracemalloc_peak):
+        # The atoms hold n x n numbers in all; n x n projectors per atom
+        # would take 256 MB here.
+        assert tracemalloc_peak(unitary_eig, random_unitary(rng, 256)) < 32.0
 
 
 class TestGuardedInverse:

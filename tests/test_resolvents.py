@@ -21,6 +21,7 @@ from isoresolvent import (
     herglotz_samples,
     inin,
     max_abs,
+    operator_norm,
     orthogonal_extension,
     recover_parameter,
     unitary_eig,
@@ -232,6 +233,39 @@ class TestGapOnArc:
         sd = unitary_eig(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
             gap_on_arc(sd, Subspace.full(2), (2.0, 1.0))
+
+    @pytest.mark.parametrize("arc", [(1.0, 2.0), (3.0, 3.3)])
+    def test_embed_of_another_dimension_rejected(self, arc):
+        # The arc (1, 2) holds no atom of -E, and (3, 3.3) holds its one atom.
+        sd = unitary_eig(-np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match=r"dimension 2, the spectral data in 3"):
+            gap_on_arc(sd, Subspace.full(2), arc)
+
+    def test_weights_equal_the_dense_compression(self, rng):
+        # Oracle: ||P_E P_k P_E|| from the n x n projectors, for embeds of
+        # every codimension and unitaries with multiple atoms.
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            q = random_unitary(rng, n)
+            angles = rng.uniform(0.1, 6.0, n)
+            angles[: n // 3] = angles[0]
+            sd = unitary_eig((q * np.exp(1j * angles)) @ q.conj().T)
+            embed = Subspace(n, random_unitary(rng, n)[:, : int(rng.integers(1, n + 1))])
+            p_embed = embed.basis @ embed.basis.conj().T
+            _, witnesses = gap_on_arc(sd, embed, (0.0, 2 * math.pi))
+            dense = [operator_norm(p_embed @ a.projector @ p_embed) for a in sd.atoms]
+            assert [w[0] for w in witnesses] == [k for k, d in enumerate(dense) if d > DEFAULT_TOL.eps_eq]
+            for index, _, weight in witnesses:
+                assert abs(weight - dense[index]) <= 1e-12
+
+    def test_whole_circle_takes_no_square_svd(self, rng, svd_shapes):
+        n = 64
+        sd = unitary_eig(random_unitary(rng, n))
+        embed = Subspace(n, random_unitary(rng, n)[:, : n - 4])
+        ok, witnesses = gap_on_arc(sd, embed, (0.0, 2 * math.pi))
+        assert not ok and len(witnesses) == n
+        assert svd_shapes[(n, n)] == 0
+        assert sum(svd_shapes.values()) == n
 
 
 class TestContinuationConsistency:
