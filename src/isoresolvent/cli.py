@@ -536,8 +536,29 @@ def _csv_rows(write, grid: list[complex]):
     return parts
 
 
+class _UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse under the CLI's exit-code contract: a usage error is an input
+    error, raised for :func:`main` to report in one line, and an argument
+    that reads as a float is a value, never an option, so negative numbers
+    in exponent form and -inf reach the check of their flag."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isoresolvent",
         description="Defect subspaces, generalized resolvents and spectral gap scans "
         "for closed isometric operators on C^n.",
@@ -562,7 +583,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         with open(args.scenario, "rb") as fh:
             text = fh.read()

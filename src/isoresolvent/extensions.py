@@ -43,7 +43,7 @@ from .numerics import (
     operator_norm,
     subspace_gap,
 )
-from .transforms import cayley
+from .transforms import _cayley_from
 
 __all__ = [
     "DefectFrame",
@@ -239,10 +239,15 @@ def _space_mismatch(stored: Subspace, expected: Subspace) -> bool:
 class DefectFrame:
     """The geometry of V at a base point z0, each piece computed at most once.
 
-    ``src`` is N_{z0}, ``reflected`` the defect pair at 1/conj(z0) (its
-    ``n`` is ``dst``), ``transform`` the Cayley transform W = V_{z0} and
-    ``transform_matrix`` its ambient partial matrix W P_{D(W)}.  All are
-    computed on first use under the frame's policy and kept on the frame.
+    ``_base`` is the defect pair at z0 (its ``n`` is ``src``, N_{z0}),
+    ``reflected`` the defect pair at 1/conj(z0) (its ``n`` is ``dst``),
+    ``transform`` the Cayley transform W = V_{z0} and ``transform_matrix``
+    its ambient partial matrix W P_{D(W)}.  All are computed on first use
+    under the frame's policy and kept on the frame.  ``src`` and
+    ``transform`` share one factorization of (domain - z0 * image): W's
+    domain is the pair's M_{z0}.  Where that factorization drops a column,
+    which needs 1 - |z0| <= 2 eps_rank to roundoff, ``transform`` raises the
+    ``SingularOperator`` of :func:`cayley`.
 
     The methods do the work of :func:`extend_full`,
     :func:`orthogonal_extension` and :func:`recover_parameter` on the
@@ -287,8 +292,12 @@ class DefectFrame:
         return frame
 
     @cached_property
+    def _base(self) -> DefectPair:
+        return defect_spaces(self.v, self.z0, self.tol)
+
+    @property
     def src(self) -> Subspace:
-        return defect_spaces(self.v, self.z0, self.tol).n
+        return self._base.n
 
     @cached_property
     def reflected(self) -> DefectPair:
@@ -300,7 +309,7 @@ class DefectFrame:
 
     @cached_property
     def transform(self) -> IsometricOperator:
-        return cayley(self.v, self.z0, self.tol)
+        return _cayley_from(self.v, self.z0, self._base.q, self._base.r, self._base.kept)
 
     @cached_property
     def transform_matrix(self) -> np.ndarray:

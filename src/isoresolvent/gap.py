@@ -32,12 +32,20 @@ T per arc gives it at every sample, within a proven bound delta, and the
 SVD is still taken at a sample where delta could put the value on the
 other side of eps_rank, so every verdict is that of the SVD.
 
+One implementation, :func:`_evaluate`, serves every boundary point: the arc
+scan hands it its samples in blocks of ``_BLOCK``, the standalone criteria
+and :func:`build_gap_operators` one point.
+
 Per arc: the defect frame (N_{z0}, the reflected pair, the Cayley
-transform), and for a constant family T with its checks, plus the
-eigensolve of T when the parameter is unitary.  Per sample: the QR of the
-boundary defect pair, the k x k work on the defect spaces and
-sigma_min(E - lambda T), read off the eigenvalues or, for Blaschke, table
-and non-unitary values, by an SVD.
+transform), and for a constant family T with its checks and condition 2,
+plus the eigensolve of T when the parameter is unitary.  Per sample, one at
+a time: the family value (and for Blaschke and table values T(lambda)),
+the regular-type floor, and N_lambda alone, from one Householder QR of
+(domain - lambda * image) with no M_lambda; for Blaschke, table and
+non-unitary values also sigma_min(E - lambda T) by an SVD.  Per block, one
+batched numpy call each: S and Q, their sigma_min, S^{-1}, the link, its
+Gram residual, C - link and its sigma_min, and sigma_direct read off the
+eigenvalues of T.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,17 +61,22 @@ from .extensions import ContractionOp, DefectFrame, FamilyEvaluationError, Param
 from .isometry import (
     IsometricOperator,
     PreconditionViolated,
-    defect_spaces,
+    _defect_columns,
     regular_type,
 )
 from .numerics import (
+    _TOL_CAP,
     DEFAULT_TOL,
+    SingularOperator,
     Subspace,
     TolerancePolicy,
     _gram_residual,
+    _gram_residuals,
     _split_eigh,
+    _trailing,
     identity,
     max_abs,
+    operator_norm,
     sigma_min,
 )
 
@@ -85,6 +99,10 @@ NOT_CERTIFIED = "NOT_CERTIFIED"
 
 TWO_PI = 2.0 * math.pi
 
+# Samples that arc_scan evaluates together.  A block's stacks hold
+# O(_BLOCK * n * k) numbers, so memory does not grow with the arc.
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class GapOperators:
@@ -94,11 +112,10 @@ class GapOperators:
     P_{N_{z0}}|_{N_lambda} and P_{N_{1/conj(z0)}}|_{N_lambda} in the fixed
     canonical bases; both are invertible under the regular-type hypothesis.
     ``link`` is the resulting isometry of N_{z0} onto N_{1/conj(z0)};
-    ``boundary_defect`` is N_lambda itself and ``boundary_m`` its partner
-    M_lambda.  ``q_min`` is sigma_min of ``dst_projection`` (+inf when
-    N_lambda = {0}), the cosine of the largest principal angle between
-    N_lambda and N_{1/conj(z0)}, which also decides the M-space projection
-    condition.
+    ``boundary_defect`` is N_lambda itself.  ``q_min`` is sigma_min of
+    ``dst_projection`` (+inf when N_lambda = {0}), the cosine of the largest
+    principal angle between N_lambda and N_{1/conj(z0)}, which also decides
+    the M-space projection condition.
     """
 
     src_projection: np.ndarray
@@ -106,7 +123,6 @@ class GapOperators:
     link: ContractionOp
     boundary_defect: Subspace
     scalar: complex
-    boundary_m: Subspace
     q_min: float = math.inf
 
 
@@ -124,11 +140,22 @@ def build_gap_operators(
     The work splits between the defect frame of (V, z0) and the point: the
     frame holds N_{z0}, N_{1/conj(z0)} and the Cayley transform, which a
     caller scanning many boundary points at one frame computes once.  Per
-    point: the regular-type test, the boundary pair N_lambda / M_lambda, the
-    two restricted projections with their SVDs, and the link with its
-    isometry check, whose residual also bounds its norm.
+    point (:func:`_evaluate` of one point): the regular-type test, the
+    boundary defect space N_lambda, the two restricted projections with
+    their SVDs, and the link with its isometry check, whose residual also
+    bounds its norm.
     """
-    return _gap_operators(DefectFrame.of(v, z0, tol), lam)
+    frame = DefectFrame.of(v, z0, tol)
+    block = _raise_first(_evaluate(frame, [lam]))
+    link = ContractionOp(frame.src, frame.dst, block.link[0], float(block.norm_bound[0]))
+    return GapOperators(
+        block.src_projection[0],
+        block.dst_projection[0],
+        link,
+        Subspace(v.ambient_dim, block.boundary[0]),
+        complex(block.scalars[0]),
+        float(block.q_min[0]),
+    )
 
 
 # Allowance for the roundoff of a measured sigma_min(A(s)), A(s) = image -
@@ -184,18 +211,18 @@ class _ArcSpectrum:
         (a s - ||R||_F) / b  <=  sigma_min(E - lam T)  <=  (b s + ||R||_F) / a.
 
     Both ends lie within delta = (b/a - 1)(1 + max_k |mu_k|) + ||R||_F / a
-    of s, as s <= 1 + max_k |mu_k|.  :meth:`sigma` returns s where it
+    of s, as s <= 1 + max_k |mu_k|.  :meth:`sigmas` returns s where it
     decides the rank verdict as an SVD of E - lam T does, that is where
     |s - eps_rank| exceeds delta plus ``_SIGMA_ROUNDOFF`` * n, the roundoff
-    allowed the SVD and the forming of s; elsewhere it returns None and the
-    caller measures.  A spectrum whose delta exceeds eps_rank is not used,
-    so a reported sigma_direct is within eps_rank of the exact value, the
-    resolution the policy asks of singular values.  On C^0, s is +inf, as
-    sigma_min of the empty matrix.
+    allowed the SVD and the forming of s; elsewhere it returns NaN and the
+    caller measures, with ``t``.  A spectrum whose delta exceeds eps_rank is
+    not used, so a reported sigma_direct is within eps_rank of the exact
+    value, the resolution the policy asks of singular values.  On C^0, s is
+    +inf, as sigma_min of the empty matrix.
     """
 
-    def __init__(self, mu: np.ndarray, delta: float, tol: TolerancePolicy):
-        self.mu, self.delta, self.eps_rank = mu, delta, tol.eps_rank
+    def __init__(self, t: np.ndarray, mu: np.ndarray, delta: float, tol: TolerancePolicy):
+        self.t, self.mu, self.delta, self.eps_rank = t, mu, delta, tol.eps_rank
         self.band = delta + _SIGMA_ROUNDOFF * mu.size
 
     @classmethod
@@ -216,61 +243,169 @@ class _ArcSpectrum:
             return None
         a, b = math.sqrt(1.0 - g), math.sqrt(1.0 + g)
         delta = (b / a - 1.0) * (1.0 + float(np.abs(mu).max(initial=0.0))) + float(np.linalg.norm(residual)) / a
-        return cls(mu, delta, tol) if delta <= tol.eps_rank else None
+        return cls(t, mu, delta, tol) if delta <= tol.eps_rank else None
+
+    def sigmas(self, lams: np.ndarray) -> np.ndarray:
+        """s at each point of ``lams``, NaN where it cannot decide the verdict."""
+        s = np.abs(1.0 - lams[:, None] * self.mu).min(axis=1, initial=math.inf)
+        return np.where(np.abs(s - self.eps_rank) <= self.band, math.nan, s)
 
     def sigma(self, lam: complex) -> float | None:
-        s = float(np.abs(1.0 - lam * self.mu).min(initial=math.inf))
-        return None if abs(s - self.eps_rank) <= self.band else s
+        """:meth:`sigmas` at one point, None in place of NaN."""
+        s = float(self.sigmas(np.array([complex(lam)]))[0])
+        return None if math.isnan(s) else s
 
 
-def _gap_operators(frame: DefectFrame, lam, floor: _RegularFloor | None = None) -> GapOperators:
-    """:func:`build_gap_operators` at the frame's operator, base point and policy.
+class _Block(NamedTuple):
+    """The boundary points of one :func:`_evaluate` call, stacked: entry j of
+    each array belongs to the j-th point.  The criteria fields are None when
+    no parameter was given."""
 
-    ``floor``, which :func:`arc_scan` carries from sample to sample, skips
-    the regular-type SVD where it proves the hypothesis; a point it does
-    not clear is measured as without it and re-anchors it.
+    scalars: np.ndarray
+    boundary: np.ndarray
+    src_projection: np.ndarray
+    dst_projection: np.ndarray
+    q_min: np.ndarray
+    link: np.ndarray
+    norm_bound: np.ndarray
+    values: list | None = None
+    diff: np.ndarray | None = None
+    sigma_cw: np.ndarray | None = None
+    sigma_pm: np.ndarray | None = None
+    sigma_direct: np.ndarray | None = None
+
+
+def _raise_first(result: tuple[_Block, tuple[int, Exception] | None]) -> _Block:
+    """The block of an :func:`_evaluate` result, or its failure raised."""
+    block, failure = result
+    if failure is not None:
+        raise failure[1]
+    return block
+
+
+def _evaluate(
+    frame: DefectFrame,
+    points,
+    parameter=None,
+    floor: _RegularFloor | None = None,
+    spectrum: _ArcSpectrum | None = None,
+) -> tuple[_Block | None, tuple[int, Exception] | None]:
+    """The link, and with ``parameter`` both criteria, at each boundary point
+    of ``points`` for the frame's operator, base point and policy.
+
+    ``parameter(j)`` is the contraction at ``points[j]``; ``floor`` is the
+    regular-type bound :func:`arc_scan` carries along its samples, and
+    ``spectrum`` the eigenvalues of a constant unitary T, off which
+    sigma_direct is read wherever that decides the rank verdict as the SVD
+    does.  The standalone criteria and ``verify`` pass neither and measure
+    every point.
+
+    Returns ``(block, failure)``.  ``failure`` is ``(j, exc)`` for the first
+    exception in (point, step) order, with the message a point-by-point
+    evaluation raises, and then ``block`` is None.  The steps of a point are:
+    its parameter, the extension T, the regular-type hypothesis, the
+    dimension of N_lambda (all taken point by point), then the degenerate
+    projections, the link's contraction bound and its isometry check (taken
+    on the stack).  A stacked step runs only on the points before the first
+    failure of the steps before it, so a degenerate S is never inverted.
+
+    Past the dimension step N_lambda, N_{z0} and N_{1/conj(z0)} are equally
+    dimensional, so C - link is square and its smallest singular value
+    decides both the kernel and the range; the M spaces are then equally
+    dimensional as well, and their projection condition is read off q_min
+    without an SVD (:func:`_sigma_pm`).
     """
     v, z0, tol = frame.v, frame.z0, frame.tol
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > tol.eps_unit:
-        raise ValueError("boundary point must lie on the unit circle")
-    if z0 == 0:
-        scalar, tested = lam.conjugate(), v
+    src, dst = frame.src, frame.dst
+    k = src.dim
+    scalars, bases, values, direct = [], [], [], []
+    failure = None
+    for j, lam in enumerate(points):
+        try:
+            if parameter is not None:
+                c = parameter(j)
+                ext = frame.extension(c)
+            lam = complex(lam)
+            if abs(abs(lam) - 1.0) > tol.eps_unit:
+                raise ValueError("boundary point must lie on the unit circle")
+            if z0 == 0:
+                scalar, tested = lam.conjugate(), v
+            else:
+                scalar, tested = (1.0 - z0.conjugate() * lam) / (lam - z0), frame.transform
+            if floor is None or not floor.clears(scalar, tol):
+                rt = regular_type(tested, scalar, tol)
+                if not rt.is_regular:
+                    raise PreconditionViolated(
+                        f"regular-type hypothesis fails at lam={lam!r} (sigma_min={rt.sigma_min:.3e})"
+                    )
+                if floor is not None:
+                    floor.anchor(tested, scalar, rt.sigma_min)
+            cols, scale = _defect_columns(v, lam)
+            basis = _trailing(cols, tol.eps_rank, scale)
+            if basis.shape[1] != k or dst.dim != k:
+                raise PreconditionViolated(
+                    f"defect dimensions differ: N_lam {basis.shape[1]}, src {k}, dst {dst.dim}"
+                )
+        except (ValueError, PreconditionViolated, SingularOperator) as exc:
+            # Raised once the points before this one have passed their
+            # stacked steps, which come first in (point, step) order.
+            failure = (j, exc)
+            break
+        scalars.append(scalar)
+        bases.append(basis.T)
+        if parameter is not None:
+            values.append(c)
+            if spectrum is None:
+                direct.append(sigma_min(identity(v.ambient_dim) - lam * ext.matrix))
+
+    b = len(bases)
+    if not b:
+        return None, failure
+    # Each N_lambda keeps the column-major layout of its QR.
+    boundary = np.array(bases).swapaxes(1, 2)
+    s_mat = src.basis.conj().T @ boundary
+    q_mat = dst.basis.conj().T @ boundary
+    if k:
+        sv = np.linalg.svd(np.concatenate([s_mat, q_mat]), compute_uv=False)[:, -1]
+        s_min, q_min = sv[:b], sv[b:]
+        degenerate = np.flatnonzero((s_min <= tol.eps_rank) | (q_min <= tol.eps_rank)).tolist()
+        ok = degenerate[0] if degenerate else b
+        link = np.array(scalars[:ok])[:, None, None] * (q_mat[:ok] @ np.linalg.inv(s_mat[:ok]))
+        residual = _gram_residuals(link)
     else:
-        scalar, tested = (1.0 - z0.conjugate() * lam) / (lam - z0), frame.transform
-    if floor is None or not floor.clears(scalar, tol):
-        rt = regular_type(tested, scalar, tol)
-        if not rt.is_regular:
-            raise PreconditionViolated(
-                f"regular-type hypothesis fails at lam={lam!r} (sigma_min={rt.sigma_min:.3e})"
-            )
-        if floor is not None:
-            floor.anchor(tested, scalar, rt.sigma_min)
-    boundary = defect_spaces(v, lam, tol)
-    n_lam = boundary.n
-    n_src, n_dst = frame.src, frame.dst
-    s_mat = n_src.basis.conj().T @ n_lam.basis
-    q_mat = n_dst.basis.conj().T @ n_lam.basis
-    if s_mat.shape[0] != s_mat.shape[1] or q_mat.shape[0] != q_mat.shape[1]:
-        raise PreconditionViolated(
-            f"defect dimensions differ: N_lam {n_lam.dim}, src {n_src.dim}, dst {n_dst.dim}"
-        )
-    q_min = math.inf
-    if n_lam.dim:
-        s_min, q_min = sigma_min(s_mat), sigma_min(q_mat)
-        if s_min <= tol.eps_rank or q_min <= tol.eps_rank:
-            raise PreconditionViolated(
-                f"restricted defect projection degenerates (sigma {min(s_min, q_min):.3e})"
-            )
-        link_matrix = scalar * (q_mat @ np.linalg.inv(s_mat))
+        ok, q_min = b, np.full(b, math.inf)
+        link, residual = np.zeros((b, 0, 0), dtype=complex), np.zeros(b)
+    # ||L||^2 = ||L^H L|| <= 1 + ||L^H L - I|| <= 1 + k * residual; a bound
+    # above the contraction cap is replaced by the measured norm, as
+    # ContractionOp does.
+    norm_bound = np.sqrt(1.0 + k * residual)
+    loose = ~(norm_bound <= 1.0 + _TOL_CAP)
+    for j in np.flatnonzero(loose | (residual > tol.eps_unit)).tolist():
+        if loose[j] and operator_norm(link[j]) > 1.0 + _TOL_CAP:
+            return None, (j, ValueError("matrix is not a contraction"))
+        if residual[j] > tol.eps_unit:
+            return None, (j, PreconditionViolated("link operator failed the isometry check"))
+    if ok < b:
+        sigma = min(s_min[ok], q_min[ok])
+        return None, (ok, PreconditionViolated(f"restricted defect projection degenerates (sigma {sigma:.3e})"))
+    if failure is not None:
+        return None, failure
+
+    links = (np.array(scalars), boundary, s_mat, q_mat, q_min, link, norm_bound)
+    if parameter is None:
+        return _Block(*links), None
+    # A constant family's one value is broadcast, not stacked.
+    c_mat = values[0].matrix if all(c is values[0] for c in values) else np.stack([c.matrix for c in values])
+    diff = c_mat - link
+    sigma_cw = np.linalg.svd(diff, compute_uv=False)[:, -1] if k else np.full(b, math.inf)
+    if spectrum is None:
+        sigma_direct = np.array(direct, dtype=float)
     else:
-        link_matrix = np.zeros((0, 0), dtype=complex)
-    residual = _gram_residual(link_matrix)
-    # ||L||^2 = ||L^H L|| <= 1 + ||L^H L - I|| <= 1 + k * residual.
-    link = ContractionOp(n_src, n_dst, link_matrix, math.sqrt(1.0 + n_src.dim * residual))
-    if residual > tol.eps_unit:
-        raise PreconditionViolated("link operator failed the isometry check")
-    return GapOperators(s_mat, q_mat, link, n_lam, scalar, boundary.m, q_min)
+        lams = np.array(points, dtype=complex)
+        sigma_direct = spectrum.sigmas(lams)
+        for j in np.flatnonzero(np.isnan(sigma_direct)).tolist():
+            sigma_direct[j] = sigma_min(identity(v.ambient_dim) - complex(lams[j]) * spectrum.t)
+    return _Block(*links, values, diff, sigma_cw, _sigma_pm(frame, points, q_min), sigma_direct), None
 
 
 @dataclass(frozen=True)
@@ -318,11 +453,12 @@ class CriteriaReport:
     sigma_direct: float = math.inf
 
 
-def _sigma_pm(frame: DefectFrame, ops: GapOperators) -> float:
-    """sigma_min of P_{M_{1/conj(z0)}} restricted to M_lambda, the singular
-    value of the M-space projection condition, read off ``ops.q_min``.
+def _sigma_pm(frame: DefectFrame, points, q_min: np.ndarray) -> np.ndarray:
+    """sigma_min of P_{M_{1/conj(z0)}} restricted to M_lambda at each of
+    ``points``, the singular value of the M-space projection condition, read
+    off the link's ``q_min`` there.
 
-    :func:`_gap_operators` has made N_lambda and N_{1/conj(z0)} equally
+    :func:`_evaluate` has made N_lambda and N_{1/conj(z0)} equally
     dimensional, and the M spaces are their orthogonal complements.  Such
     complements share the principal angles of the N spaces (Knyazev and
     Argentati, SIAM J. Sci. Comput. 23, 2002): the angles in (0, pi/2) carry
@@ -333,8 +469,8 @@ def _sigma_pm(frame: DefectFrame, ops: GapOperators) -> float:
     when they are all of C^n (N_lambda = {0}).
     """
     if frame.v.domain_dim == 0:
-        return math.inf
-    return ops.q_min if ops.boundary_defect.dim else 1.0
+        return np.full(q_min.shape, math.inf)
+    return q_min if frame.src.dim else np.ones(q_min.shape)
 
 
 def surjectivity_criterion(
@@ -350,43 +486,19 @@ def surjectivity_criterion(
     return _boundary_criteria(DefectFrame.of(v, 0j, tol), c, lam)
 
 
-def _boundary_criteria(
-    frame: DefectFrame,
-    c: ContractionOp,
-    lam,
-    floor: _RegularFloor | None = None,
-    spectrum: _ArcSpectrum | None = None,
-) -> CriteriaReport:
+def _boundary_criteria(frame: DefectFrame, c: ContractionOp, lam) -> CriteriaReport:
     """Both criteria at one boundary point for the frame's operator, base
-    point and policy.
-
-    :func:`_gap_operators` makes N_lambda, N_{z0} and N_{1/conj(z0)} equally
-    dimensional, so C - link is square and its smallest singular value
-    decides both the kernel and the range; the M spaces are then equally
-    dimensional as well, and their projection condition is read off q_min
-    without an SVD (:func:`_sigma_pm`).  The vectors of C - link are
-    computed only on a hit, for the witness.  ``floor`` is the regular-type
-    bound :func:`arc_scan` carries along its samples, and ``spectrum`` the
-    eigenvalues of a constant unitary T, off which sigma_direct is read
-    wherever that decides the rank verdict as the SVD does; the standalone
-    criteria and ``verify`` pass neither and measure every point.
-    """
+    point and policy: :func:`_evaluate` of that point.  The vectors of
+    C - link are computed only on a hit, for the witness."""
     tol = frame.tol
-    ext = frame.extension(c)
-    lam = complex(lam)
-    ops = _gap_operators(frame, lam, floor)
-    diff = c.matrix - ops.link.matrix
-    sigma_cw = sigma_min(diff)
+    block = _raise_first(_evaluate(frame, [lam], lambda j: c))
+    sigma_cw, sigma_pm, sigma_direct = (float(x[0]) for x in (block.sigma_cw, block.sigma_pm, block.sigma_direct))
     eigen = sigma_cw <= tol.eps_rank
-    sigma_pm = _sigma_pm(frame, ops)
     cond_pm = sigma_pm > tol.eps_rank
-    sigma_direct = None if spectrum is None else spectrum.sigma(lam)
-    if sigma_direct is None:
-        sigma_direct = sigma_min(identity(frame.v.ambient_dim) - lam * ext.matrix)
     witness = None
     if eigen:
-        _, _, vh = np.linalg.svd(diff)
-        witness = ops.boundary_defect.basis @ np.linalg.solve(ops.src_projection, vh[-1].conj())
+        _, _, vh = np.linalg.svd(block.diff[0])
+        witness = block.boundary[0] @ np.linalg.solve(block.src_projection[0], vh[-1].conj())
         witness = witness / np.linalg.norm(witness)
     return CriteriaReport(
         eigen=eigen,
@@ -452,12 +564,19 @@ class GapReport:
 
 def _boundary_isometry_onto(c: ContractionOp, tol: TolerancePolicy) -> bool:
     """Whether C is unitary: both C^H C and C C^H are the identity within eps_unit."""
-    m = c.matrix
-    return (
-        m.shape[0] == m.shape[1]
-        and _gram_residual(m) <= tol.eps_unit
-        and _gram_residual(m.conj().T) <= tol.eps_unit
-    )
+    return _isometries_onto([c], tol)[0]
+
+
+def _isometries_onto(values: list, tol: TolerancePolicy) -> list[bool]:
+    """:func:`_boundary_isometry_onto` of each value (all of one shape), on
+    their stack."""
+    m = np.stack([c.matrix for c in values])
+    if m.shape[1] != m.shape[2]:
+        return [False] * len(values)
+    if not m.shape[1]:
+        return [True] * len(values)
+    both = (_gram_residuals(m) <= tol.eps_unit) & (_gram_residuals(np.swapaxes(m.conj(), 1, 2)) <= tol.eps_unit)
+    return both.tolist()
 
 
 def arc_scan(
@@ -491,20 +610,24 @@ def arc_scan(
     Per arc, shared by all samples: the frame (:meth:`DefectFrame.of` at
     (v, fam.z0, tol)) with N_{z0}, the reflected pair, the Cayley transform
     and, for a constant family, the orthogonal extension T with all of its
-    checks; for a constant unitary parameter also one eigensolve of T
-    (:class:`_ArcSpectrum`).  Per sample: the family value, the operators of
-    :func:`build_gap_operators` (N_lambda / M_lambda by one QR, the SVDs of
-    S and Q, the link), the SVD of C - link, and sigma_min of E - lam T.
-    That last is read off the eigenvalues of a constant unitary T, within
-    the proven bound delta, except where delta could move it across
-    eps_rank; there, and for Blaschke, tabulated and non-unitary values, it
-    is an SVD, so every verdict is the SVD's.  Blaschke and tabulated values
-    get T assembled per sample from the frame's cached parts.  The M-space
-    condition takes no SVD (it is q_min), and the regular-type hypothesis is
-    measured only where the bound carried from the last measurement,
-    sigma' - ||domain|| |s - s'|, does not clear twice eps_rank (in practice
-    once or twice per arc).  A point the bound does not clear is measured,
-    so a failure raises the message it would raise without the bound.
+    checks and condition 2; for a constant unitary parameter also one
+    eigensolve of T (:class:`_ArcSpectrum`).  The samples are evaluated
+    together, ``_BLOCK`` at a time, by :func:`_evaluate`, the code of the
+    standalone criteria.  Per sample it takes the family value (and for
+    Blaschke and tabulated values T, assembled from the frame's cached
+    parts), N_lambda alone by one QR, and for Blaschke, tabulated and
+    non-unitary values sigma_min(E - lam T) by an SVD.  Per block, each in
+    one batched call: S and Q with their SVDs, the link and its isometry
+    check, the SVD of C - link, and sigma_direct of a constant unitary T,
+    read off its eigenvalues within the proven bound delta except where
+    delta could move it across eps_rank; there it is an SVD, so every
+    verdict is the SVD's.  The M-space condition takes no SVD (it is
+    q_min), and the regular-type hypothesis is measured only where the
+    bound carried from the last measurement, sigma' - ||domain|| |s - s'|,
+    does not clear twice eps_rank (in practice once or twice per arc).  A
+    point the bound does not clear is measured, so a failure raises the
+    message it would raise without the bound, and the first failure in
+    (sample, step) order is the one raised.
     """
     t1, t2 = float(arc[0]), float(arc[1])
     if not (0.0 <= t1 < t2 <= TWO_PI):
@@ -521,45 +644,48 @@ def arc_scan(
     step = (t2 - t1) / (n_samples + 1)
     floor = _RegularFloor()
     spectrum = _ArcSpectrum.of(frame, fam)
+    # Condition 2 of a constant family's one value, which the spectrum has
+    # checked where it serves.
+    constant_cond2 = fam.kind == "constant" and (spectrum is not None or _boundary_isometry_onto(fam.constant, tol))
     samples: list[ArcSample] = []
     previous_value: np.ndarray | None = None
-    for j in range(n_samples):
-        angle = t1 + (j + 1) * step
-        lam = cmath.exp(1j * angle)
-        try:
-            value = fam.value_at(lam, tol)
-        except FamilyEvaluationError as exc:
-            raise FamilyEvaluationError(f"sample {j}: {exc}") from exc
+    for start in range(0, n_samples, _BLOCK):
+        angles = [t1 + (j + 1) * step for j in range(start, min(start + _BLOCK, n_samples))]
+        lams = [cmath.exp(1j * angle) for angle in angles]
+        block, failure = _evaluate(frame, lams, lambda j: fam.value_at(lams[j], tol), floor, spectrum)
+        if failure is not None:
+            j, exc = failure
+            if isinstance(exc, FamilyEvaluationError):
+                raise FamilyEvaluationError(f"sample {start + j}: {exc}") from exc
+            if isinstance(exc, PreconditionViolated):
+                raise PreconditionViolated(f"sample {start + j} at angle {angles[j]:.6f}: {exc}") from exc
+            raise exc
 
-        if fam.kind in ("constant", "blaschke"):
-            cond1 = True
-        else:
-            cond1 = previous_value is None or (
-                max_abs(value.matrix - previous_value) <= continuity_bound
+        cond2 = [constant_cond2] * len(lams) if fam.kind == "constant" else _isometries_onto(block.values, tol)
+        cond1 = [True] * len(lams)
+        if fam.kind == "table":
+            for j, value in enumerate(block.values):
+                cond1[j] = previous_value is None or max_abs(value.matrix - previous_value) <= continuity_bound
+                previous_value = value.matrix
+
+        eigen = (block.sigma_cw <= tol.eps_rank).tolist()
+        cond_pm = (block.sigma_pm > tol.eps_rank).tolist()
+        direct = (block.sigma_direct > tol.eps_rank).tolist()
+        for j, (sigma_cw, sigma_direct) in enumerate(zip(block.sigma_cw.tolist(), block.sigma_direct.tolist())):
+            samples.append(
+                ArcSample(
+                    index=start + j,
+                    angle=angles[j],
+                    point=lams[j],
+                    cond1=cond1[j],
+                    cond2=cond2[j],
+                    cond3_link=not eigen[j] and cond_pm[j],
+                    cond3_direct=direct[j],
+                    sigma_cw=sigma_cw,
+                    sigma_direct=sigma_direct,
+                    cond_pm=cond_pm[j],
+                )
             )
-        previous_value = value.matrix
-
-        cond2 = _boundary_isometry_onto(value, tol)
-
-        try:
-            report = _boundary_criteria(frame, value, lam, floor, spectrum)
-        except PreconditionViolated as exc:
-            raise PreconditionViolated(f"sample {j} at angle {angle:.6f}: {exc}") from exc
-
-        samples.append(
-            ArcSample(
-                index=j,
-                angle=angle,
-                point=lam,
-                cond1=cond1,
-                cond2=cond2,
-                cond3_link=report.surjective,
-                cond3_direct=report.crosscheck_rank,
-                sigma_cw=report.sigma_cw,
-                sigma_direct=report.sigma_direct,
-                cond_pm=report.cond_pm,
-            )
-        )
 
     verdict = GAP_CERTIFIED if all(s.passed for s in samples) else NOT_CERTIFIED
     return GapReport(

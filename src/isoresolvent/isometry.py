@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -136,10 +137,25 @@ class IsometricOperator:
 @dataclass(frozen=True)
 class DefectPair:
     """The defect geometry at a point: m = (E - zeta V) D(V) (or R(V) at INF)
-    and n = its orthogonal complement."""
+    and n = its orthogonal complement.
 
-    m: Subspace
-    n: Subspace
+    Both are held as one factorization by the orthonormalizer: the unitary
+    ``q``, whose leading ``len(kept)`` columns span m, and the triangular
+    ``r`` of the kept columns, which the Cayley transform at zeta reuses.
+    Each Subspace is formed, and its basis checked, when it is first read.
+    """
+
+    q: np.ndarray
+    r: np.ndarray
+    kept: list
+
+    @cached_property
+    def m(self) -> Subspace:
+        return Subspace(self.q.shape[0], self.q[:, : len(self.kept)])
+
+    @cached_property
+    def n(self) -> Subspace:
+        return Subspace(self.q.shape[0], self.q[:, len(self.kept) :])
 
 
 class RegularType(NamedTuple):
@@ -156,15 +172,17 @@ def defect_spaces(v: IsometricOperator, zeta, tol: TolerancePolicy = DEFAULT_TOL
     (taken part by part, which cannot overflow), so one that cancels to
     roundoff is dropped even when no kept column precedes it.
     """
+    cols, scale = _defect_columns(v, zeta)
+    return DefectPair(*_mgs(cols, tol.eps_rank, scale))
+
+
+def _defect_columns(v: IsometricOperator, zeta) -> tuple[np.ndarray, float]:
+    """The columns whose span is M_zeta, and the scale their roundoff is
+    judged against (see :func:`defect_spaces`)."""
     if is_inf_point(zeta):
-        cols, scale = v.image_basis, 1.0
-    else:
-        z = complex(zeta)
-        cols = v.domain_basis - z * v.image_basis
-        scale = max(1.0, abs(z.real), abs(z.imag))
-    q, _, kept = _mgs(cols, tol.eps_rank, scale)
-    k = len(kept)
-    return DefectPair(Subspace(v.ambient_dim, q[:, :k]), Subspace(v.ambient_dim, q[:, k:]))
+        return v.image_basis, 1.0
+    z = complex(zeta)
+    return v.domain_basis - z * v.image_basis, max(1.0, abs(z.real), abs(z.imag))
 
 
 def regular_type(v: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) -> RegularType:

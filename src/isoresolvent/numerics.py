@@ -13,6 +13,8 @@ residual against the kept columns before it is at most ``eps_rank`` times its
 norm (or a larger reference scale its caller passes); the leading columns
 are the Gram-Schmidt basis of the kept ones, the trailing ones the
 complement, each rotated so its first significant entry is real positive.
+:func:`_trailing` is the trailing part alone, from the same factorization
+(:func:`_householder`), for a caller that needs only the complement.
 
 numpy is the only dependency: the QR runs LAPACK's ``zgeqrf``/``zungqr``
 through ``numpy.linalg.lapack_lite``, and the spectra of unitary matrices
@@ -149,6 +151,17 @@ def _gram_residual(basis: np.ndarray) -> float:
     return residual if residual == residual else math.inf
 
 
+def _gram_residuals(stack: np.ndarray) -> np.ndarray:
+    """:func:`_gram_residual` of each matrix in a (b, n, k) stack, k >= 1, by
+    one product of the stack: the same values bit for bit."""
+    k = stack.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(stack.conj(), -1, -2) @ stack
+        gram.reshape(-1, k * k)[:, :: k + 1] -= 1
+        residual = np.abs(gram).max(axis=(-2, -1), initial=0.0)
+    return np.where(residual == residual, residual, math.inf)
+
+
 def singular_values(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if min(m.shape) == 0:
@@ -186,6 +199,71 @@ def _scaled(a: np.ndarray, exps) -> np.ndarray:
     return np.ldexp(a.view(float), np.repeat(exps, 2)).view(complex)
 
 
+def _householder(a: np.ndarray, eps_rank: float, scale: float):
+    """The factorization behind :func:`_mgs` and :func:`_trailing`: LAPACK's
+    Householder QR of the kept columns of the C-ordered ``a`` (n x m, m >= 1)
+    in input order, with the drop rule of :func:`_mgs`.
+
+    Returns ``(f, tau, keep, lift, work)``: row j of ``f`` holds column
+    ``keep[j]`` as ``zgeqrf`` left it (R on and above the diagonal of
+    ``f.T``, the reflectors below), ``tau`` the reflectors' scalars,
+    ``lift`` the exponents the columns were scaled by (None when none was)
+    and ``work`` a workspace large enough for ``zungqr``.  ``keep`` is empty
+    when no column is kept.
+    """
+    n, m = a.shape
+    # Largest real or imaginary part of each column (|z| itself may overflow).
+    big = np.maximum.reduce(np.abs(a.view(float)), axis=0, initial=0.0).reshape(m, 2).max(axis=1)
+    exps = np.frexp(big)[1]
+    lift = None
+    if np.minimum.reduce(big) < _SQRT_TINY or np.maximum.reduce(big) >= _SQRT_HUGE:
+        # The squares of a column whose largest part lies outside
+        # [sqrt(tiny), sqrt(huge)] leave the normal range, losing their
+        # digits or overflowing: factor it times an exact power of two.
+        lift = np.where((big < _SQRT_TINY) | (big >= _SQRT_HUGE), -exps, 0)
+        a = _scaled(a, lift)
+        exps = exps + lift
+    # Column norms as sums of squares of each column times 2**-exps, whose
+    # largest part then lies in [1/2, 1): no square overflows, and the ones
+    # that underflow are below 2**-1000 of the sum.  Only the drop rule
+    # reads them.
+    parts = _scaled(a, -exps).view(float)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    norms = np.ldexp(np.sqrt(squares[0::2] + squares[1::2]), exps)
+    ref = norms
+    if scale:
+        # The scale of a lifted column is lifted with it; past the float
+        # range it reads inf, and the column is roundoff at that scale.
+        with np.errstate(over="ignore"):
+            ref = np.maximum(norms, scale if lift is None else np.ldexp(scale, lift))
+    work = np.empty(_LWORK_PER_COL * max(n, m), dtype=complex)
+    keep = norms.nonzero()[0]
+    f = tau = None
+    while keep.size:
+        # LAPACK reads this C-ordered transpose as the Fortran-ordered columns.
+        f = a.T[keep]
+        k = min(n, keep.size)
+        tau = np.empty(k, dtype=complex)
+        lapack_lite.zgeqrf(n, keep.size, f, n, tau, work, work.size, 0)
+        low = np.abs(f.T.diagonal()[:k]) <= eps_rank * ref[keep[:k]]
+        if not low.any():
+            break
+        # Rank-deficient input: factor again without the first dependent column.
+        keep = np.delete(keep, low.argmax())
+    # Past n kept columns the rest lie in their span.
+    return f, tau, keep[:n], lift, work
+
+
+def _unitary_q(f: np.ndarray, tau: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
+    """The complete n x n unitary of the first k reflectors in ``f``, as the
+    C-ordered transpose that ``zungqr`` fills."""
+    n = f.shape[1]
+    h = np.zeros((n, n), dtype=complex)
+    h[:k] = f[:k]
+    lapack_lite.zungqr(n, n, k, h, n, tau, work, work.size, 0)
+    return h.T
+
+
 def _mgs(columns: np.ndarray, eps_rank: float, scale: float = 0.0):
     """Householder QR of ``columns`` in input order, completed to a unitary.
 
@@ -201,58 +279,36 @@ def _mgs(columns: np.ndarray, eps_rank: float, scale: float = 0.0):
     n, m = a.shape
     if not m:
         return identity(n), np.zeros((0, 0), dtype=complex), []
-    # Largest real or imaginary part of each column (|z| itself may overflow).
-    big = np.maximum.reduce(np.abs(a.view(float)), axis=0, initial=0.0).reshape(m, 2).max(axis=1)
-    lift = None
-    if np.minimum.reduce(big) < _SQRT_TINY or np.maximum.reduce(big) >= _SQRT_HUGE:
-        # The squares of a column whose largest part lies outside
-        # [sqrt(tiny), sqrt(huge)] leave the normal range, losing their
-        # digits or overflowing: factor it times an exact power of two.
-        lift = np.where((big < _SQRT_TINY) | (big >= _SQRT_HUGE), -np.frexp(big)[1], 0)
-        a = _scaled(a, lift)
-    # Column norms by hypot, which neither overflows nor underflows.
-    norms = np.hypot.reduce(a.view(float).reshape(n, m, 2), axis=0, initial=0.0)
-    norms = np.hypot(norms[:, 0], norms[:, 1])
-    ref = norms
-    if scale:
-        # The scale of a lifted column is lifted with it; past the float
-        # range it reads inf, and the column is roundoff at that scale.
-        with np.errstate(over="ignore"):
-            ref = np.maximum(norms, scale if lift is None else np.ldexp(scale, lift))
-    work = np.empty(_LWORK_PER_COL * max(n, m), dtype=complex)
-    keep = norms.nonzero()[0]
-    while keep.size:
-        # LAPACK reads this C-ordered transpose as the Fortran-ordered columns.
-        f = a.T[keep]
-        k = min(n, keep.size)
-        tau = np.empty(k, dtype=complex)
-        lapack_lite.zgeqrf(n, keep.size, f, n, tau, work, work.size, 0)
-        qr = f.T
-        resid = np.abs(qr.diagonal()[:k])
-        low = resid <= eps_rank * ref[keep[:k]]
-        if not low.any():
-            break
-        # Rank-deficient input: factor again without the first dependent column.
-        keep = np.delete(keep, low.argmax())
-    # Past n kept columns the rest lie in their span.
-    keep = keep[:n]
+    f, tau, keep, lift, work = _householder(a, eps_rank, scale)
     k = keep.size
     if not k:
         return identity(n), np.zeros((0, 0), dtype=complex), []
-    phase = qr.diagonal()[:k] / resid
+    qr = f.T
+    diagonal = qr.diagonal()[:k]
+    phase = diagonal / np.abs(diagonal)
     upper = np.arange(k)[:, None] <= np.arange(k)
     r = qr[:k, :k] * (upper * phase.conj()[:, None])
     if lift is not None:
         # The R of a column whose norm exceeds the float range reads inf.
         with np.errstate(over="ignore"):
             r = _scaled(r, -lift[keep])
-    h = np.zeros((n, n), dtype=complex)
-    h[:k] = f[:k]
-    lapack_lite.zungqr(n, n, k, h, n, tau, work, work.size, 0)
-    q = h.T
+    q = _unitary_q(f, tau, k, work)
     q[:, :k] *= phase
     q[:, k:] = _phase_fix(q[:, k:])
     return q, r, keep.tolist()
+
+
+def _trailing(columns: np.ndarray, eps_rank: float, scale: float = 0.0) -> np.ndarray:
+    """``q[:, len(kept):]`` of :func:`_mgs` alone, bit for bit: the phase-fixed
+    complement of the kept columns, with no R and no leading phases."""
+    a = np.ascontiguousarray(columns, dtype=complex)
+    n, m = a.shape
+    if not m:
+        return identity(n)
+    f, tau, keep, _, work = _householder(a, eps_rank, scale)
+    if not keep.size:
+        return identity(n)
+    return _phase_fix(_unitary_q(f, tau, keep.size, work)[:, keep.size :])
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,17 @@ def cayley(v: IsometricOperator, z, tol: TolerancePolicy = DEFAULT_TOL) -> Isome
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("transform point must lie inside the unit disk")
-    a = v.domain_basis - z * v.image_basis
-    b = v.image_basis - z.conjugate() * v.domain_basis
-    q, r, kept = _mgs(a, tol.eps_rank)
+    return _cayley_from(v, z, *_mgs(v.domain_basis - z * v.image_basis, tol.eps_rank))
+
+
+def _cayley_from(v: IsometricOperator, z: complex, q: np.ndarray, r: np.ndarray, kept: list) -> IsometricOperator:
+    """The transform at z from the factorization ``(q, r, kept)`` of the
+    columns (domain - z * image), which :func:`cayley` takes with the
+    columns' own norms as the drop scale and the defect pair at z with
+    max(1, |z|); the two agree wherever neither drops a column."""
     if len(kept) != v.domain_dim:
         raise SingularOperator(0.0, "rank-deficient columns in QR step")
-    images = b @ np.linalg.inv(r)
+    images = (v.image_basis - z.conjugate() * v.domain_basis) @ np.linalg.inv(r)
     return IsometricOperator(v.ambient_dim, q[:, : v.domain_dim], images)
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -31,6 +32,22 @@ def svd_shapes(monkeypatch) -> Counter:
         return original(m)
 
     monkeypatch.setattr(isoresolvent.numerics, "singular_values", counted)
+    return shapes
+
+
+@pytest.fixture
+def svd_matrices(monkeypatch) -> Counter:
+    """Counts the matrices numpy.linalg.svd factors, by shape, until
+    ``monkeypatch.undo()``: each matrix of a stacked call counts once."""
+    shapes = Counter()
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        a = np.asarray(a)
+        shapes[a.shape[-2:]] += math.prod(a.shape[:-2])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return shapes
 
 

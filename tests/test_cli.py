@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isoresolvent import DEFAULT_TOL, DefectFrame, cli, extensions, gap, numerics, resolvents
 from isoresolvent.cli import ScenarioError, main, parse_scenario
+from isoresolvent.isometry import defect_spaces
 from isoresolvent.numerics import sigma_min
 from isoresolvent.verify import run_property_suite
 
@@ -706,9 +707,10 @@ class TestShortcutsKeepBytes:
             used["inverses"] += 1
             return original(m, tol, context)
 
-        def svd_pm(frame, ops):
-            used["M-space SVDs"] += 1
-            return sigma_min(frame.reflected.m.basis.conj().T @ ops.boundary_m.basis)
+        def svd_pm(frame, points, q_min):
+            used["M-space SVDs"] += len(points)
+            m_dst = frame.reflected.m.basis.conj().T
+            return np.array([sigma_min(m_dst @ defect_spaces(frame.v, lam, frame.tol).m.basis) for lam in points])
 
         monkeypatch.setattr(DefectFrame, "of", classmethod(fresh))
         for module in (numerics, extensions, resolvents):
@@ -857,6 +859,53 @@ _flag_floats = st.one_of(
         [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324, math.nan, math.inf, -math.inf]
     ),
 ).map(lambda x: f" {x!r}")
+
+
+class TestCommandLine:
+    """Every argument list ends in a documented exit code: a float in any
+    spelling is a value that reaches its flag's check, and a usage error is
+    an input error (exit 1) with one ``error:`` line."""
+
+    @staticmethod
+    def run(tmp_path, capsys, *argv):
+        code = main([write_scenario(tmp_path, e1_scenario(0.5)), *argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_negative_exponent_zeta_is_a_value(self, tmp_path, capsys):
+        code, out, err = self.run(tmp_path, capsys, "resolvent", "--zeta", "-1e-3", "0.5")
+        assert (code, err) == (0, "")
+        assert strict_loads(out)["zeta"] == [-0.001, 0.5]
+
+    def test_negative_infinity_is_the_range_pair_or_an_input_error(self, tmp_path, capsys):
+        code, out, _ = self.run(tmp_path, capsys, "defect", "--zeta", "-inf", "0")
+        assert code == 0 and strict_loads(out)["zeta"] == "INF"
+        assert self.run(tmp_path, capsys, "resolvent", "--zeta", "-inf", "0") == (1, "", "error: --zeta must be finite\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gap-scan", "--arc", "-1e-3", "1"], "arc must satisfy 0 <= t1 < t2 <= 2*pi"),
+            (["gap-scan", "--arc", "0.5", "1", "--continuity-bound", "-1e-300"], "--continuity-bound must be a finite nonnegative number"),
+            (["defect", "--zeta", "-nan", "0"], "--zeta takes numbers"),
+            (["resolvent", "--zeta", "0.1"], "argument --zeta: expected 2 arguments"),
+            (["gap-scan", "--arc", "0.5", "1", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+            (["defect", "--bogus"], "unrecognized arguments: --bogus"),
+            (["bogus"], "argument command: invalid choice"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["arc", "bound", "nan", "missing-value", "bad-int", "unknown-flag", "bad-command", "no-command"],
+    )
+    def test_input_errors_exit_one_with_one_line(self, tmp_path, capsys, argv, message):
+        code, out, err = self.run(tmp_path, capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: isoresolvent")
 
 
 class TestArgumentFuzz:

@@ -191,15 +191,25 @@ class TestAgreement:
 
 class TestFrame:
     def test_geometry_is_computed_once(self, monkeypatch, rng):
-        v, c, _ = restriction(rng, 6, 4, 0.2j)
-        counts = count_calls(
-            monkeypatch, isoresolvent.isometry.defect_spaces, isoresolvent.transforms.cayley
-        )
-        frame = DefectFrame(v, 0.2j)
-        assert counts["defect_spaces"] == 0  # lazy
-        for _ in range(3):
-            frame.src, frame.dst, frame.reflected.m, frame.transform_matrix
-        assert counts == {"defect_spaces": 2, "cayley": 1}
+        """N_{z0} and the Cayley transform share one factorization of
+        (domain - z0 * image); the reflected pair takes the other."""
+        for z0 in (0.2j, 0j):
+            v, c, _ = restriction(rng, 6, 4, z0)
+            counts = count_calls(
+                monkeypatch,
+                isoresolvent.isometry.defect_spaces,
+                isoresolvent.transforms.cayley,
+                isoresolvent.numerics._mgs,
+            )
+            frame = DefectFrame(v, z0)
+            assert not counts  # lazy
+            for _ in range(3):
+                frame.src, frame.dst, frame.reflected.m, frame.transform_matrix
+            assert counts == {"defect_spaces": 2, "_mgs": 2}
+            monkeypatch.undo()
+            w = isoresolvent.transforms.cayley(v, z0)
+            assert np.array_equal(frame.transform.domain_basis, w.domain_basis)
+            assert np.array_equal(frame.transform.image_basis, w.image_basis)
 
     def test_constant_extension_is_assembled_once(self, rng):
         v, c, _ = restriction(rng, 6, 4, 0.2j)

@@ -1,7 +1,11 @@
+import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from isoresolvent import (
@@ -372,7 +376,7 @@ class TestRegularFloor:
         return IsometricOperator(cls.N, np.eye(cls.N)[:, : cls.D], u[:, : cls.D])
 
     @classmethod
-    def counted_scan(cls, v, fam, svd_shapes, eigh_shapes):
+    def counted_scan(cls, v, fam, svd_matrices, eigh_shapes):
         """Scan (0.4, 1.6) with the frame's geometry and T (for a constant
         family) built beforehand; the SVD and eigh counts are the scan's."""
         from isoresolvent import DefectFrame
@@ -381,36 +385,39 @@ class TestRegularFloor:
         if fam.kind == "constant":
             frame.extension(fam.constant)
         frame.transform
-        svd_shapes.clear()
+        svd_matrices.clear()
         eigh_shapes.clear()
         report = arc_scan(v, fam, (0.4, 1.6), n_samples=cls.SAMPLES)
         assert len(report.samples) == cls.SAMPLES
         return report
 
     @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
-    def test_one_direct_svd_per_sample(self, z0, svd_shapes, eigh_shapes):
+    def test_one_direct_svd_per_sample(self, z0, svd_matrices, eigh_shapes):
         # A constant unitary parameter: sigma_direct is read off one n x n
         # eigensolve of T per scan, so no n x n SVD is left.  n x d is the
         # regular-type map, d x d the M-space projection and k x k the link
-        # work (S, Q, C - link).
+        # work (S, Q, C - link), counted matrix by matrix inside the stacks
+        # the samples share.
         n, d, k, samples = self.N, self.D, self.K, self.SAMPLES
         v = self.operator()
         fam = constant_family(random_unitary_parameter(np.random.default_rng(4), v, z0), z0)
-        self.counted_scan(v, fam, svd_shapes, eigh_shapes)
+        self.counted_scan(v, fam, svd_matrices, eigh_shapes)
         assert eigh_shapes == {(n, n): 1}
-        assert svd_shapes[(n, n)] == 0
-        assert 1 <= svd_shapes[(n, d)] <= 3
-        assert svd_shapes[(d, d)] == 0
-        assert svd_shapes[(k, k)] == 3 * samples
-        assert sum(svd_shapes.values()) == svd_shapes[(n, d)] + 3 * samples
+        assert svd_matrices[(n, n)] == 0
+        assert 1 <= svd_matrices[(n, d)] <= 3
+        assert svd_matrices[(d, d)] == 0
+        assert svd_matrices[(k, k)] == 3 * samples
+        assert sum(svd_matrices.values()) == svd_matrices[(n, d)] + 3 * samples
 
     @pytest.mark.parametrize("z0", [0j, 0.3 - 0.2j])
     @pytest.mark.parametrize("kind", ["blaschke", "non-unitary"])
-    def test_other_families_keep_the_direct_svd(self, z0, kind, monkeypatch, svd_shapes, eigh_shapes):
+    def test_other_families_keep_the_direct_svd(self, z0, kind, monkeypatch, svd_matrices, eigh_shapes):
         # Blaschke values and non-unitary constants take no eigensolve and
         # one n x n SVD per sample for sigma_direct.  (A Blaschke value's T
         # is assembled per sample, and the assembly measures norms by n x n
-        # SVDs of its own, so sigma_min is counted where gap calls it.)
+        # SVDs of its own, so sigma_min is counted where gap calls it; the
+        # count of every n x n matrix factored, inside stacks or not, is at
+        # least that.)
         from collections import Counter
 
         from isoresolvent import blaschke_family, gap
@@ -430,10 +437,10 @@ class TestRegularFloor:
             return original(m)
 
         monkeypatch.setattr(gap, "sigma_min", counted)
-        report = self.counted_scan(v, fam, svd_shapes, eigh_shapes)
+        report = self.counted_scan(v, fam, svd_matrices, eigh_shapes)
         assert not eigh_shapes
         assert direct[(n, n)] == samples
-        assert svd_shapes[(n, n)] >= samples
+        assert svd_matrices[(n, n)] >= samples
         assert all(s.cond2 == (kind == "blaschke") for s in report.samples)
 
     @staticmethod
@@ -573,10 +580,11 @@ class TestArcSpectrum:
         assert shipped.verdict == NOT_CERTIFIED
 
     @pytest.mark.parametrize("case", ["e1", "n16-z0"])
-    def test_sample_in_the_band_takes_the_svd(self, monkeypatch, svd_shapes, e1, case):
+    def test_sample_in_the_band_takes_the_svd(self, monkeypatch, svd_matrices, e1, case):
         # The middle of nine samples lies eps_rank in angle from conj(mu), so
         # its s = |1 - lam mu| is eps_rank to roundoff: the spectrum cannot
-        # decide the rank verdict there, and that one sample takes the SVD.
+        # decide the rank verdict there, and that one sample takes the SVD;
+        # no other n x n matrix is factored, inside a stack or not.
         from isoresolvent import DefectFrame
         from isoresolvent.gap import _ArcSpectrum
 
@@ -592,9 +600,9 @@ class TestArcSpectrum:
         n = v.ambient_dim
         theta = float(np.mod(-np.angle(mu), 2 * math.pi)) + DEFAULT_TOL.eps_rank
         arc = (theta - 0.5, theta + 0.5)
-        svd_shapes.clear()
+        svd_matrices.clear()
         shipped = arc_scan(v, fam, arc, n_samples=9)
-        assert svd_shapes[(n, n)] == 1
+        assert svd_matrices[(n, n)] == 1
         band = [s for s in shipped.samples if spectrum.sigma(s.point) is None]
         assert [s.index for s in band] == [4]
         assert abs(band[0].sigma_direct - DEFAULT_TOL.eps_rank) <= spectrum.band
@@ -632,3 +640,201 @@ class TestArcSpectrum:
                 for lam in np.exp(1j * np.linspace(0.0, 2 * math.pi, 73)):
                     s = float(np.abs(1.0 - lam * spectrum.mu).min())
                     assert abs(s - np.linalg.svd(np.eye(2) - lam * t, compute_uv=False)[-1]) <= spectrum.band
+
+
+def scan_outcome(v, fam, arc, n_samples, tol=DEFAULT_TOL, continuity_bound=None):
+    """arc_scan's report, or the exception it raises as "Type: message"."""
+    try:
+        return arc_scan(v, fam, arc, n_samples=n_samples, tol=tol, continuity_bound=continuity_bound)
+    except (ValueError, PreconditionViolated) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def one_point_scan(v, fam, arc, n_samples, tol=DEFAULT_TOL):
+    """The samples of an arc scan taken one point at a time: (lam, value,
+    one-point criteria) per sample, or the first failure tagged as arc_scan
+    tags it."""
+    from isoresolvent import DefectFrame, FamilyEvaluationError
+    from isoresolvent.gap import _boundary_criteria
+
+    frame = DefectFrame.of(v, fam.z0, tol)
+    step = (arc[1] - arc[0]) / (n_samples + 1)
+    out = []
+    for j in range(n_samples):
+        angle = arc[0] + (j + 1) * step
+        lam = cmath.exp(1j * angle)
+        try:
+            value = fam.value_at(lam, tol)
+        except FamilyEvaluationError as exc:
+            return f"FamilyEvaluationError: sample {j}: {exc}"
+        try:
+            out.append((lam, value, _boundary_criteria(frame, value, lam)))
+        except PreconditionViolated as exc:
+            return f"PreconditionViolated: sample {j} at angle {angle:.6f}: {exc}"
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return out
+
+
+class TestStackedScan:
+    """arc_scan evaluates its samples together, _BLOCK at a time, by the code
+    of the one-point criteria: every sample is the one-point criteria at its
+    point, and the first failure in (sample, step) order is the one raised."""
+
+    @staticmethod
+    def family(rng, v, z0, kind, arc, n_samples):
+        from isoresolvent import blaschke_family, table_family
+
+        if kind == "constant":
+            return constant_family(random_unitary_parameter(rng, v, z0), z0)
+        if kind == "non-unitary":
+            return constant_family(random_parameter(rng, v, z0), z0)
+        if kind == "blaschke":
+            return blaschke_family(complex(*rng.uniform(-0.6, 0.6, 2)), random_unitary_parameter(rng, v, z0), z0)
+        step = (arc[1] - arc[0]) / (n_samples + 1)
+        values = [random_unitary_parameter(rng, v, z0), random_parameter(rng, v, z0)]
+        points = [cmath.exp(1j * (arc[0] + (j + 1) * step)) for j in range(n_samples)]
+        return table_family([(p, values[int(rng.integers(0, 2))]) for p in points], z0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        z0=st.sampled_from([0j, 0.3 - 0.2j]),
+        kind=st.sampled_from(["constant", "non-unitary", "blaschke", "table"]),
+        n_samples=st.integers(1, 12),
+        block=st.sampled_from([1, 2, 5, 32]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_samples_are_the_one_point_criteria(self, seed, z0, kind, n_samples, block):
+        from isoresolvent import DefectFrame, gap
+        from isoresolvent.gap import _ArcSpectrum, _boundary_isometry_onto, _evaluate
+
+        rng = np.random.default_rng(seed)
+        v = random_isometry(rng, n_max=9, allow_full=False)
+        t1 = float(rng.uniform(0.0, 5.0))
+        arc = (t1, t1 + float(rng.uniform(0.1, 1.2)))
+        fam = self.family(rng, v, z0, kind, arc, n_samples)
+        bound = 0.3 if kind == "table" else None
+        with patch.object(gap, "_BLOCK", block):
+            shipped = scan_outcome(v, fam, arc, n_samples, continuity_bound=bound)
+        reference = one_point_scan(v, fam, arc, n_samples)
+        if isinstance(reference, str):
+            assert shipped == reference
+            return
+        frame = DefectFrame.of(v, z0)
+        spectrum = _ArcSpectrum.of(frame, fam)
+        assert (spectrum is not None) == (kind == "constant")
+        previous = None
+        for j, (s, (lam, value, rep)) in enumerate(zip(shipped.samples, reference, strict=True)):
+            assert (s.index, s.point) == (j, lam)
+            assert s.cond1 == (previous is None or kind != "table" or max_abs(value.matrix - previous) <= bound)
+            previous = value.matrix
+            assert s.cond2 == _boundary_isometry_onto(value, DEFAULT_TOL)
+            assert (s.cond3_link, s.cond_pm, s.sigma_cw) == (rep.surjective, rep.cond_pm, rep.sigma_cw)
+            assert s.cond3_direct == rep.crosscheck_rank
+            if spectrum is None:
+                assert s.sigma_direct == rep.sigma_direct
+            else:
+                assert abs(s.sigma_direct - rep.sigma_direct) <= spectrum.band
+        lams = [s.point for s in shipped.samples]
+        block_of = _evaluate(frame, lams)[0]
+        for j, lam in enumerate(lams):
+            assert np.array_equal(block_of.boundary[j], defect_spaces(v, lam).n.basis)
+            assert np.array_equal(block_of.link[j], build_gap_operators(v, lam, z0).link.matrix)
+
+    EIG = 2 * math.pi - 1.0
+    ARC = (EIG - 0.5, EIG + 0.5)  # the middle of nine samples fails regular type
+
+    @classmethod
+    def overridden(cls, monkeypatch, overrides):
+        """Replace N_lambda at the given samples of ARC: ``overrides`` maps a
+        sample index to columns whose complement is the N_lambda wanted."""
+        from isoresolvent import gap
+
+        original = gap._defect_columns
+        points = {cmath.exp(1j * (cls.ARC[0] + (j + 1) * 0.1)): j for j in range(9)}
+
+        def columns(v, lam):
+            j = points.get(complex(lam))
+            return (overrides[j], 1.0) if j in overrides else original(v, lam)
+
+        monkeypatch.setattr(gap, "_defect_columns", columns)
+
+    # Complements of span(e1, e2), inside D(V), so S = 0 exactly; and of a
+    # subspace tilted between D(V) and N_0, so the link is not isometric.
+    INSIDE = np.eye(6, dtype=complex)[:, 2:]
+    TILTED = np.linalg.qr(np.eye(6, dtype=complex)[:, [2, 3, 0, 1]] + np.eye(6)[:, [2, 3, 4, 5]])[0]
+
+    @pytest.mark.parametrize("block", [2, 32])
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({}, "sample 4 at angle 5.283185: regular-type hypothesis fails"),
+            ({2: "inside"}, "sample 2 at angle 5.083185: restricted defect projection degenerates (sigma 0.000e+00)"),
+            ({1: "tilted", 2: "inside", 3: "inside"}, "sample 1 at angle 4.983185: link operator failed"),
+            ({1: "inside", 3: "tilted"}, "sample 1 at angle 4.983185: restricted defect projection degenerates"),
+            ({3: "tilted", 5: "inside"}, "sample 3 at angle 5.183185: link operator failed"),
+        ],
+        ids=["regular-type", "degenerate", "link-then-singular", "degenerate-then-link", "link-then-regular-type"],
+    )
+    def test_first_failure_in_sample_order(self, monkeypatch, block, overrides, expected):
+        """Failures at several samples and steps: the scan raises the one a
+        point-by-point evaluation meets first, and an exactly singular S
+        after it never reaches numpy's inverse."""
+        from isoresolvent import gap
+
+        v = TestRegularFloor.eigenvector_operator()
+        fam = constant_family(defect_parameter(v, 0.0, np.zeros((2, 2))), 0.0)
+        self.overridden(monkeypatch, {j: {"inside": self.INSIDE, "tilted": self.TILTED}[c] for j, c in overrides.items()})
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        shipped = scan_outcome(v, fam, self.ARC, 9)
+        assert shipped == one_point_scan(v, fam, self.ARC, 9)
+        assert shipped.startswith("PreconditionViolated: " + expected)
+
+    def test_tight_policy_link_failure_before_regular_type(self):
+        """Under an eps_unit at roundoff the link check fails at some sample
+        before the regular-type failure at sample 4, unpatched."""
+        from isoresolvent import TolerancePolicy
+
+        v = TestRegularFloor.eigenvector_operator()
+        tol = TolerancePolicy(eps_unit=5e-16)
+        fam = constant_family(defect_parameter(v, 0.0, np.zeros((2, 2)), tol), 0.0)
+        shipped = scan_outcome(v, fam, self.ARC, 9, tol)
+        assert shipped == one_point_scan(v, fam, self.ARC, 9, tol)
+        assert "link operator failed" in shipped or "contraction bound" in shipped
+
+    @pytest.mark.parametrize("block", [3, 32])
+    @pytest.mark.parametrize("degenerate", [None, 2, 7])
+    def test_table_missing_a_value_mid_arc(self, monkeypatch, e1, block, degenerate):
+        from isoresolvent import gap, table_family
+
+        arc, n = (0.5, 2.5), 9
+        c = defect_parameter(e1, 0.0, [[1.0]])
+        step = (arc[1] - arc[0]) / (n + 1)
+        fam = table_family([(cmath.exp(1j * (arc[0] + (j + 1) * step)), c) for j in range(n) if j != 5], 0.0)
+        if degenerate is not None:
+            original = gap._defect_columns
+            bad = cmath.exp(1j * (arc[0] + (degenerate + 1) * step))
+            # N_lambda = span(e1) = D(V), orthogonal to N_0 = span(e2).
+            monkeypatch.setattr(
+                gap, "_defect_columns",
+                lambda v, lam: (np.array([[0], [1]], dtype=complex), 1.0) if complex(lam) == bad else original(v, lam),
+            )
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        shipped = scan_outcome(e1, fam, arc, n, continuity_bound=0.5)
+        assert shipped == one_point_scan(e1, fam, arc, n)
+        if degenerate == 2:
+            assert shipped.startswith("PreconditionViolated: sample 2 at angle")
+        else:
+            assert shipped.startswith("FamilyEvaluationError: sample 5: tabulated family has no value")
+
+    def test_memory_of_a_long_arc(self, tracemalloc_peak):
+        """4 096 samples at n = 64 stay within a few blocks' stacks: a stack
+        of the whole arc would take hundreds of MB."""
+        from isoresolvent.sampling import random_unitary
+
+        rng = np.random.default_rng(7)
+        n, d = 64, 60
+        v = IsometricOperator(n, np.eye(n)[:, :d], random_unitary(rng, n)[:, :d])
+        fam = constant_family(random_unitary_parameter(rng, v), 0.0)
+        peak = tracemalloc_peak(lambda: arc_scan(v, fam, (0.3, 2.9), n_samples=4096))
+        assert peak < 4.0

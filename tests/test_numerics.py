@@ -23,7 +23,7 @@ from isoresolvent import (
     subspace_gap,
     unitary_eig,
 )
-from isoresolvent.numerics import _SPLIT, TolerancePolicy, sigma_min
+from isoresolvent.numerics import _SPLIT, TolerancePolicy, _mgs, _trailing, sigma_min
 from isoresolvent.sampling import random_unitary
 
 
@@ -93,9 +93,10 @@ class TestOrthonormalize:
         s = orthonormalize([[0, 0, size], [0, size, size]])
         assert_allclose(s.basis, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
 
-    @pytest.mark.parametrize("size", [1.4e154, 1e200, 1.7e308])
+    @pytest.mark.parametrize("size", [1e154, 1.4e154, 1e200, 1.7e308])
     def test_huge_vector_normalized(self, size):
-        # Squares of these entries overflow the float range.
+        # Squares of these entries overflow the float range, or their sums
+        # do (1e154 is below sqrt(huge), and 2e308 above the largest float).
         s = orthonormalize([[0, 0, size], [0, size, size]])
         assert_allclose(s.basis, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
 
@@ -141,6 +142,28 @@ class TestOrthonormalize:
         again = orthonormalize([first.basis[:, j] for j in range(first.dim)])
         assert again.dim == first.dim
         assert subspace_gap(first, again) <= DEFAULT_TOL.eps_eq
+
+
+class TestTrailing:
+    """The arc scan takes N_lambda from _trailing: the phase-fixed trailing
+    columns of _mgs without R or the leading phases, bit for bit, also for
+    columns whose squares leave the normal range."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        column_sets(),
+        st.lists(st.sampled_from([1.0, 1e-200, 1e-310, 6.756904881675528e-161, 1e154, 1e300]), min_size=1, max_size=10),
+        st.sampled_from([0.0, 1.0, 1e200]),
+    )
+    def test_equals_the_trailing_columns_of_mgs(self, drawn, sizes, scale):
+        columns, _ = drawn
+        columns = columns * np.resize(sizes, columns.shape[1])
+        q, _, kept = _mgs(columns, DEFAULT_TOL.eps_rank, scale)
+        assert np.array_equal(_trailing(columns, DEFAULT_TOL.eps_rank, scale), q[:, len(kept) :])
+
+    def test_empty_and_zero_columns(self):
+        assert np.array_equal(_trailing(np.zeros((3, 0), dtype=complex), 1e-9), np.eye(3))
+        assert np.array_equal(_trailing(np.zeros((3, 2), dtype=complex), 1e-9), np.eye(3))
 
 
 class TestComplementAndProjector:
