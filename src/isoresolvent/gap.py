@@ -246,8 +246,12 @@ class _ArcSpectrum:
         return cls(t, mu, delta, tol) if delta <= tol.eps_rank else None
 
     def sigmas(self, lams: np.ndarray) -> np.ndarray:
-        """s at each point of ``lams``, NaN where it cannot decide the verdict."""
-        s = np.abs(1.0 - lams[:, None] * self.mu).min(axis=1, initial=math.inf)
+        """s at each point of ``lams``, NaN where it cannot decide the verdict.
+
+        Both factors of the product are 2-d: numpy then rounds each entry as
+        it rounds ``lam * mu`` for one point, also for one point and one
+        eigenvalue, where a 1-d ``mu`` would take another kernel."""
+        s = np.abs(1.0 - lams[:, None] * self.mu[None, :]).min(axis=1, initial=math.inf)
         return np.where(np.abs(s - self.eps_rank) <= self.band, math.nan, s)
 
     def sigma(self, lam: complex) -> float | None:

@@ -610,6 +610,25 @@ class TestArcSpectrum:
         self.assert_same_verdicts(shipped, off, spectrum.band)
         assert shipped.samples[4].sigma_direct == off.samples[4].sigma_direct
 
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("count", [1, 2, 33])
+    def test_spectrum_at_many_points_is_the_spectrum_at_each(self, n, count):
+        """sigma_direct off the spectrum for a block of points is, bit for
+        bit, |1 - lam mu| minimized point by point (one point and one
+        eigenvalue included)."""
+        from isoresolvent import DefectFrame
+        from isoresolvent.gap import _ArcSpectrum
+        from isoresolvent.sampling import random_unitary
+
+        rng = np.random.default_rng(n + count)
+        v = IsometricOperator(n, np.eye(n)[:, : n - 1], random_unitary(rng, n)[:, : n - 1])
+        fam = constant_family(random_unitary_parameter(rng, v), 0.0)
+        spectrum = _ArcSpectrum.of(DefectFrame.of(v, 0.0), fam)
+        for _ in range(20):
+            lams = np.exp(1j * rng.uniform(0.0, 2 * math.pi, count))
+            each = [float(np.abs(1.0 - complex(lam) * spectrum.mu).min(initial=math.inf)) for lam in lams]
+            assert spectrum.sigmas(lams).tolist() == each
+
     def test_empty_space(self, monkeypatch):
         v = IsometricOperator(0, np.zeros((0, 0)), np.zeros((0, 0)))
         fam = constant_family(defect_parameter(v, 0.0, np.zeros((0, 0))), 0.0)
